@@ -8,12 +8,11 @@ namespace juggler {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-// The synthetic content of stream byte `pos`: a fixed position-derived value,
-// standing in for payload bytes the simulator doesn't carry.
-inline uint8_t StreamByte(uint64_t pos) {
-  return static_cast<uint8_t>((pos * 0x9E3779B97F4A7C15ULL) >> 56);
+// SplitMix64's finalizer: a bijection on 64-bit words with full avalanche.
+inline uint64_t Mix(uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -39,19 +38,20 @@ void StreamIntegrityChecker::OnDeliverTotal(uint64_t total_bytes) {
     log_->Violation(name_, "delivery total not strictly increasing: " +
                                std::to_string(total_bytes) + " after " +
                                std::to_string(delivered_total_));
-    // An anomalous delivery must never hash equal to a clean one.
-    stream_digest_ = (stream_digest_ ^ 0xBADull) * kFnvPrime;
+    // An anomalous delivery must never hash equal to a clean one: fold in
+    // where it struck, in order.
+    anomaly_fold_ = Mix(Mix(anomaly_fold_ ^ delivered_total_) ^ total_bytes);
   }
   if (expected_bytes_ > 0 && total_bytes > expected_bytes_) {
     log_->Violation(name_, "delivered " + std::to_string(total_bytes) +
                                " bytes, more than the " +
                                std::to_string(expected_bytes_) + " sent");
   }
-  // Fold the newly delivered in-order bytes into the stream digest.
-  for (uint64_t pos = delivered_total_; pos < total_bytes; ++pos) {
-    stream_digest_ = (stream_digest_ ^ StreamByte(pos)) * kFnvPrime;
-  }
   delivered_total_ = total_bytes;
+}
+
+uint64_t StreamIntegrityChecker::stream_digest() const {
+  return Mix(anomaly_fold_ ^ Mix(delivered_total_));
 }
 
 void StreamIntegrityChecker::OnSegment(const Segment& segment) {

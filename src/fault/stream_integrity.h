@@ -12,7 +12,9 @@
 //     surfaced would be a silent gap, even if TCP's counters look right.
 //
 // Violations go to the shared AuditLog; FinalCheck() runs the end-of-run
-// conditions (full delivery, full coverage).
+// conditions (full delivery, full coverage). stream_digest() summarises the
+// app plane for differential checks: a fold over the final delivery total
+// and the anomaly points, constant work per callback (see below).
 
 #ifndef JUGGLER_SRC_FAULT_STREAM_INTEGRITY_H_
 #define JUGGLER_SRC_FAULT_STREAM_INTEGRITY_H_
@@ -52,15 +54,16 @@ class StreamIntegrityChecker {
   uint64_t segment_bytes_covered() const { return covered_.TotalBytes(); }
   uint64_t deliver_callbacks() const { return deliver_callbacks_; }
 
-  // FNV-1a fold over the position-derived content of every in-order byte the
-  // app received, in delivery order, plus any delivery anomalies observed.
-  // The simulator carries no payload bytes, so "content" is a fixed function
-  // of stream position — with synthetic payloads this is exactly the hash a
-  // real implementation would compute over the delivered byte stream. By
-  // construction it is independent of chunking, poll boundaries and timing:
-  // two runs agree iff they delivered the same contiguous prefix exactly
-  // once — the cross-driver (RSS vs COREC) conformance oracle.
-  uint64_t stream_digest() const { return stream_digest_; }
+  // Digest of what the app received: the final in-order delivery total
+  // mixed with a fold over every anomaly point (the total before and after
+  // each non-increasing callback), in order. The simulator carries no payload
+  // bytes, so stream content is a fixed function of position; a hash over the
+  // delivered bytes could therefore only encode where delivery ended and
+  // where anomalies struck, and this folds exactly that in O(1) per callback.
+  // By construction it is independent of chunking, poll boundaries and
+  // timing: two runs agree iff they delivered the same contiguous prefix
+  // exactly once — the cross-driver (RSS vs COREC) conformance oracle.
+  uint64_t stream_digest() const;
 
  private:
   std::string name_;
@@ -68,7 +71,8 @@ class StreamIntegrityChecker {
   uint64_t expected_bytes_ = 0;
   uint64_t delivered_total_ = 0;
   uint64_t deliver_callbacks_ = 0;
-  uint64_t stream_digest_ = 14695981039346656037ULL;  // FNV-1a offset basis
+  // Running fold of (total before, total after) per anomaly, in order.
+  uint64_t anomaly_fold_ = 14695981039346656037ULL;
   // Byte ranges seen in data segments at the GRO/TCP boundary. Overlaps are
   // legal (retransmissions reach TCP); gaps at the end of the run are not.
   SeqRangeSet covered_;

@@ -175,10 +175,11 @@ struct ChaosEngineResult {
   // FNV-1a over the run's observable counters: same seed + options must
   // reproduce this bit-identically.
   uint64_t digest = 0;
-  // TCP-level stream digest (raw transfers only; 0 for app runs): an FNV-1a
-  // fold over the position-derived content of every byte the receiver's TCP
-  // handed the application, in order, plus any delivery anomalies the
-  // integrity checker observed. Unlike `digest` it is independent of poll
+  // TCP-level stream digest (raw transfers only; 0 for app runs): a fold
+  // over the final in-order total the receiver's TCP handed the application
+  // plus every delivery anomaly point the integrity checker observed. Stream
+  // content is position-derived, so this carries the same information as a
+  // hash over the delivered bytes. Unlike `digest` it is independent of poll
   // boundaries, flush timing and chunking, so it must be byte-identical
   // across receive drivers (RSS vs COREC) for the same (seed, options) —
   // that equality is the rx-conformance oracle. Deliberately NOT mixed into

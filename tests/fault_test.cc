@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/nic/nic_rx.h"
 #include "src/scenario/gro_factories.h"
 #include "src/sim/event_loop.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace juggler {
@@ -564,6 +566,184 @@ TEST(StreamIntegrityTest, RetransmissionOverlapIsLegal) {
   checker.OnSegment(DataSegment(kMss, kMss));
   checker.OnDeliverTotal(2 * kMss);
   EXPECT_TRUE(checker.FinalCheck());
+}
+
+// Feeds `totals` to a fresh checker and returns its stream digest.
+uint64_t DigestOf(const std::vector<uint64_t>& totals) {
+  AuditLog log;
+  StreamIntegrityChecker checker("t", &log);
+  for (uint64_t t : totals) {
+    checker.OnDeliverTotal(t);
+  }
+  return checker.stream_digest();
+}
+
+// Delivery callbacks advancing from `from` to `to` in `chunk`-byte steps.
+std::vector<uint64_t> Chunked(uint64_t from, uint64_t to, uint64_t chunk) {
+  std::vector<uint64_t> totals;
+  for (uint64_t t = from; t < to;) {
+    t = std::min(to, t + chunk);
+    totals.push_back(t);
+  }
+  return totals;
+}
+
+TEST(StreamIntegrityTest, DigestIsChunkIndependent) {
+  const uint64_t total = 10 * kMss + 7;
+  const uint64_t one_call = DigestOf({total});
+  EXPECT_EQ(DigestOf(Chunked(0, total, kMss)), one_call);
+  EXPECT_EQ(DigestOf(Chunked(0, total, 1)), one_call);
+  EXPECT_NE(DigestOf({total + 1}), one_call);
+}
+
+TEST(StreamIntegrityTest, DigestSeesAnomaliesAndWhereTheyStruck) {
+  const uint64_t end = 3 * kMss;
+  const uint64_t clean = DigestOf({kMss, 2 * kMss, end});
+  // A repeat (double delivery) and a rollback each end at the same final
+  // total as the clean run, and must still hash differently from it.
+  const uint64_t repeat = DigestOf({kMss, kMss, 2 * kMss, end});
+  const uint64_t rollback = DigestOf({2 * kMss, kMss, end});
+  EXPECT_NE(repeat, clean);
+  EXPECT_NE(rollback, clean);
+  EXPECT_NE(repeat, rollback);
+  // The same anomaly at a different position is a different history.
+  EXPECT_NE(DigestOf({2 * kMss, 2 * kMss, end}), repeat);
+  EXPECT_NE(DigestOf({end, kMss, end}), rollback);
+
+  // Over-delivery is an audit violation, not a digest anomaly.
+  AuditLog log;
+  StreamIntegrityChecker checker("t", &log);
+  checker.set_expected_bytes(kMss);
+  checker.OnDeliverTotal(2 * kMss);
+  EXPECT_EQ(log.violations(), 1u);
+  EXPECT_EQ(checker.stream_digest(), DigestOf({2 * kMss}));
+}
+
+// The digest the checker computed while it hashed every delivered byte:
+// FNV-1a over the position-derived content of each in-order byte, with a
+// marker folded in per non-increasing callback. Kept here as the reference
+// the O(1) digest must agree with.
+class ByteFoldReference {
+ public:
+  void OnDeliverTotal(uint64_t total) {
+    if (total <= delivered_) {
+      hash_ = (hash_ ^ 0xBADull) * kPrime;
+    }
+    for (uint64_t pos = delivered_; pos < total; ++pos) {
+      hash_ = (hash_ ^ static_cast<uint8_t>((pos * 0x9E3779B97F4A7C15ULL) >> 56)) * kPrime;
+    }
+    delivered_ = total;
+  }
+  uint64_t digest() const { return hash_; }
+
+ private:
+  static constexpr uint64_t kPrime = 1099511628211ULL;
+  uint64_t hash_ = 14695981039346656037ULL;
+  uint64_t delivered_ = 0;
+};
+
+// A random delivery history over totals <= 64 KB: advances to a target
+// total, with repeats and rollbacks injected between them. Every anomaly is
+// followed by an advance; a trailing anomaly would leave the byte fold
+// unable to tell where a rollback landed, which the O(1) digest still can.
+// Targets often sit on a coarse grid, so unrelated histories sometimes end
+// at the same total and the comparison sees equal pairs, not only unequal.
+struct HistoryStep {
+  enum Kind { kAdvance, kRepeat, kRollback } kind;
+  uint64_t to;
+};
+
+std::vector<HistoryStep> RandomHistory(Rng& rng) {
+  constexpr uint64_t kMaxTotal = 64 * 1024;
+  constexpr uint64_t kGrid = kMss / 4;
+  std::vector<HistoryStep> steps;
+  uint64_t at = 0;
+  bool need_advance = false;
+  const int n = static_cast<int>(rng.NextInRange(1, 6));
+  for (int i = 0; (i < n || need_advance) && at < kMaxTotal; ++i) {
+    const double pick = rng.NextDouble();
+    if (!need_advance && at > 0 && pick < 0.2) {
+      steps.push_back({HistoryStep::kRepeat, at});
+      need_advance = true;
+    } else if (!need_advance && at > 0 && pick < 0.4) {
+      at = rng.NextBounded(at);
+      steps.push_back({HistoryStep::kRollback, at});
+      need_advance = true;
+    } else {
+      uint64_t to = at + static_cast<uint64_t>(rng.NextInRange(1, 8 * kMss));
+      if (rng.NextBool(0.5)) {
+        to = std::max(at + 1, to / kGrid * kGrid);
+      }
+      at = std::min(kMaxTotal, to);
+      steps.push_back({HistoryStep::kAdvance, at});
+      need_advance = false;
+    }
+  }
+  return steps;
+}
+
+// One callback sequence realising `steps`, with each advance split into
+// randomly sized chunks.
+std::vector<uint64_t> Realise(const std::vector<HistoryStep>& steps, Rng& rng) {
+  std::vector<uint64_t> totals;
+  uint64_t at = 0;
+  for (const HistoryStep& step : steps) {
+    if (step.kind != HistoryStep::kAdvance) {
+      totals.push_back(step.to);
+    } else {
+      const uint64_t chunk = rng.NextBool(0.3) ? step.to - at
+                                               : static_cast<uint64_t>(rng.NextInRange(1, 3 * kMss));
+      const std::vector<uint64_t> chunks = Chunked(at, step.to, chunk);
+      totals.insert(totals.end(), chunks.begin(), chunks.end());
+    }
+    at = step.to;
+  }
+  return totals;
+}
+
+TEST(StreamIntegrityTest, DigestEqualityMatchesPerByteReference) {
+  // Hundreds of deliberate anomalies: keep their warnings off the output.
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kError);
+  Rng rng(0x5EED);
+  std::vector<uint64_t> fresh;
+  std::vector<uint64_t> reference;
+  for (int h = 0; h < 300; ++h) {
+    const std::vector<HistoryStep> steps = RandomHistory(rng);
+    for (int r = 0; r < 2; ++r) {
+      ByteFoldReference ref;
+      const std::vector<uint64_t> totals = Realise(steps, rng);
+      for (uint64_t t : totals) {
+        ref.OnDeliverTotal(t);
+      }
+      fresh.push_back(DigestOf(totals));
+      reference.push_back(ref.digest());
+    }
+  }
+  SetLogLevel(saved_level);
+  size_t equal_pairs = 0;
+  size_t unequal_pairs = 0;
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    for (size_t j = i + 1; j < fresh.size(); ++j) {
+      const bool ref_equal = reference[i] == reference[j];
+      ASSERT_EQ(fresh[i] == fresh[j], ref_equal) << "sequences " << i << " and " << j;
+      ++(ref_equal ? equal_pairs : unequal_pairs);
+    }
+  }
+  // Every history was realised twice, so at least that many pairs agree.
+  EXPECT_GE(equal_pairs, 300u);
+  EXPECT_GT(unequal_pairs, 0u);
+}
+
+TEST(StreamIntegrityTest, DigestWorkIsIndependentOfBytesDelivered) {
+  // A terabyte in one callback: the per-byte fold would run for about an
+  // hour here, the digest must not.
+  AuditLog log;
+  StreamIntegrityChecker checker("t", &log);
+  checker.OnDeliverTotal(1ULL << 40);
+  EXPECT_EQ(checker.delivered_total(), 1ULL << 40);
+  EXPECT_EQ(checker.stream_digest(), DigestOf(Chunked(0, 1ULL << 40, 1ULL << 38)));
+  EXPECT_TRUE(log.clean());
 }
 
 // ------------------------------------------------------ JugglerAuditor ----
