@@ -20,10 +20,6 @@ inline constexpr double kHeapEraEventLoopEventsPerSec = 14268317.0;
 inline constexpr double kHeapEraTimerChurnOpsPerSec = 18594931.0;
 inline constexpr double kHeapEraGroDatapathPacketsPerSec = 19435172.0;
 
-// bench/perf_fabric reference: 32-host Clos bulk transfer at ONE
-// worker on the sharded engine.
-inline constexpr double kFabricClosPacketsPerSec = 1046273.0;
-
 }  // namespace juggler::perf_baseline
 
 #endif  // JUGGLER_BENCH_PERF_BASELINE_H_

@@ -413,10 +413,9 @@ struct BaselineView {
   double packets_per_sec = perf_baseline::kGroDatapathPacketsPerSec;
 };
 
-// Merge-preserving writer: sections other benches own (perf_fabric's
-// "fabric_scaling", perf_scale's "flow_scale" / "tcp_scale") survive a
-// perf_core rerun, so one recording pass over the three benches — in any
-// order — leaves a complete file.
+// Merge-preserving writer: sections other benches own (perf_scale's
+// "flow_scale" / "tcp_scale") survive a perf_core rerun, so one recording
+// pass over the benches — in any order — leaves a complete file.
 void WriteJson(const Results& r, const BaselineView& base, const std::string& path) {
   Json doc = Json::Object();
   {
@@ -458,9 +457,8 @@ void WriteJson(const Results& r, const BaselineView& base, const std::string& pa
 }
 
 // Emits a fresh bench/perf_baseline.h recording `r` as the new reference.
-// The heap-era and fabric constants are carried forward verbatim so a
-// regeneration never loses the historical reference or perf_fabric's gate
-// number.
+// The heap-era constants are carried forward verbatim so a regeneration
+// never loses the historical reference.
 void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
   std::fprintf(
       out,
@@ -486,10 +484,6 @@ void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
       "inline constexpr double kHeapEraTimerChurnOpsPerSec = %.1f;\n"
       "inline constexpr double kHeapEraGroDatapathPacketsPerSec = %.1f;\n"
       "\n"
-      "// bench/perf_fabric reference: 32-host Clos bulk transfer at ONE\n"
-      "// worker on the sharded engine.\n"
-      "inline constexpr double kFabricClosPacketsPerSec = %.1f;\n"
-      "\n"
       "}  // namespace juggler::perf_baseline\n"
       "\n"
       "#endif  // JUGGLER_BENCH_PERF_BASELINE_H_\n",
@@ -497,8 +491,7 @@ void EmitBaselineHeader(FILE* out, const Results& r, const char* commit) {
       perf_baseline::kHeapEraCommit, perf_baseline::kHeapEraCommit,
       perf_baseline::kHeapEraEventLoopEventsPerSec,
       perf_baseline::kHeapEraTimerChurnOpsPerSec,
-      perf_baseline::kHeapEraGroDatapathPacketsPerSec,
-      perf_baseline::kFabricClosPacketsPerSec);
+      perf_baseline::kHeapEraGroDatapathPacketsPerSec);
 }
 
 // Minimal schema check: the file parses as one JSON object (brace balance)

@@ -1,12 +1,12 @@
 # Re-records the tracked perf artifacts in one deterministic pass:
 #
 #   bench/perf_baseline.h   (perf_core --baseline-header, commit auto-filled)
-#   BENCH_core.json         (perf_core + perf_fabric + perf_scale sections)
+#   BENCH_core.json         (perf_core + perf_scale sections)
 #
 # Invoked by the `bench-record` target with -DSRC_DIR / -DBENCH_BIN_DIR.
 # Each bench merge-preserves the others' sections, so the order below only
 # matters for wall-clock: perf_core first, since it also writes the header.
-# All three run serially (execute_process) — the gated numbers are
+# Both run serially (execute_process) — the gated numbers are
 # wall-clock rates and must not share the box.
 
 foreach(var SRC_DIR BENCH_BIN_DIR)
@@ -33,14 +33,6 @@ execute_process(
   RESULT_VARIABLE RC)
 if(NOT RC EQUAL 0)
   message(FATAL_ERROR "perf_core failed (${RC})")
-endif()
-
-message(STATUS "bench-record: perf_fabric")
-execute_process(
-  COMMAND ${BENCH_BIN_DIR}/perf_fabric --out ${OUT_JSON}
-  RESULT_VARIABLE RC)
-if(NOT RC EQUAL 0)
-  message(FATAL_ERROR "perf_fabric failed (${RC})")
 endif()
 
 message(STATUS "bench-record: perf_scale (with memory-flatness gate)")

@@ -12,7 +12,6 @@
 //   ./build/examples/chaos_runner --seeds 20         # 5 families x 20 seeds
 //   ./build/examples/chaos_runner --family corrupt --seeds 8
 //   ./build/examples/chaos_runner --base-seed 42 --bytes 3000000
-//   ./build/examples/chaos_runner --shards 4       # sharded parallel engine
 //   ./build/examples/chaos_runner --metrics        # per-run metrics tables
 //   ./build/examples/chaos_runner --trace out.json # Chrome/Perfetto trace
 //   ./build/examples/chaos_runner --app rpc        # RPC workload w/ retries
@@ -24,12 +23,8 @@
 //
 // Exit status: 0 when every run is clean, 1 on any violation or mismatch —
 // the failing (family, seed) pair printed is a complete repro recipe.
-// With --shards N the scenario runs on the sharded conservative-lookahead
-// engine; the digest is identical for every N >= 1, so a repro found at
-// --shards 8 replays at --shards 1. --trace collects the Juggler engine's
-// flight-recorder events across every run into one trace file (load it at
-// ui.perfetto.dev or chrome://tracing); events and metrics are byte-identical
-// for every --shards N >= 1.
+// --trace collects the Juggler engine's flight-recorder events across every
+// run into one trace file (load it at ui.perfetto.dev or chrome://tracing).
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,7 +49,6 @@ int main(int argc, char** argv) {
   int seeds = 4;
   uint64_t base_seed = 1;
   uint64_t bytes = 1'500'000;
-  size_t shards = 0;
   bool metrics = false;
   bool overload = false;
   AppWorkloadKind app_kind = AppWorkloadKind::kNone;
@@ -90,8 +84,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--bytes must be > 0\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      shards = static_cast<size_t>(std::strtoull(next("--shards"), nullptr, 10));
     } else if (std::strcmp(argv[i], "--family") == 0) {
       FaultFamily f;
       if (!ParseFaultFamily(next("--family"), &f)) {
@@ -119,7 +111,7 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr, "usage: %s [--seeds N] [--base-seed S] [--bytes B] "
-                           "[--family NAME] [--shards N] [--app KIND] [--stack NAME] "
+                           "[--family NAME] [--app KIND] [--stack NAME] "
                            "[--rx-driver NAME] [--overload] [--metrics] [--trace FILE]\n",
                    argv[0]);
       return 2;
@@ -140,7 +132,6 @@ int main(int argc, char** argv) {
       opt.seed = base_seed + static_cast<uint64_t>(s);
       opt.family = family;
       opt.transfer_bytes = bytes;
-      opt.shards = shards;
       opt.rx_driver = rx_driver;
       opt.obs.metrics = metrics;
       opt.obs.trace = !trace_path.empty();
@@ -259,22 +250,6 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.juggler.overload_ring_drops),
                     static_cast<unsigned long long>(r.juggler.overload_peak_pool),
                     static_cast<long long>(r.juggler.overload_pool_leaked));
-      }
-      if (shards >= 1) {
-        std::printf("    shards: %zu workers, %llu windows, %llu crossings;",
-                    r.juggler.shard_workers,
-                    static_cast<unsigned long long>(r.juggler.shard_windows),
-                    static_cast<unsigned long long>(r.juggler.shard_crossings));
-        for (size_t d = 0; d < r.juggler.shard_names.size(); ++d) {
-          std::printf(" %s=%llu", r.juggler.shard_names[d].c_str(),
-                      static_cast<unsigned long long>(r.juggler.shard_events[d]));
-        }
-        std::printf(" events; barrier-wait");
-        for (uint64_t ns : r.juggler.shard_barrier_wait_ns) {
-          std::printf(" %.2fms", static_cast<double>(ns) / 1e6);
-        }
-        std::printf("; mailbox hwm=%zu overflow=%llu\n", r.juggler.shard_mailbox_hwm,
-                    static_cast<unsigned long long>(r.juggler.shard_mailbox_overflows));
       }
       if (metrics) {
         std::printf("  metrics (%s, seed %llu, juggler engine):\n", FaultFamilyName(family),

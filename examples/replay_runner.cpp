@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
     } else {
       const SignatureKind kind = bundle.signature.kind;
       const bool cooperative = kind == SignatureKind::kInvariantViolation ||
-                               kind == SignatureKind::kDigestDivergence ||
                                kind == SignatureKind::kException;
       if (!cooperative || bundle.spec.plant_wedge) {
         std::fprintf(stderr,

@@ -34,9 +34,8 @@ class AuditLog {
   bool clean() const { return violations_ == 0; }
 
   // Fold another log's violations in, quietly (they were warned about when
-  // first recorded). Used to merge per-shard-domain logs after the workers
-  // join — checkers running on different domain threads write to separate
-  // logs so the shared one needs no locking.
+  // first recorded). Used to merge a harness-private log into the shared
+  // one at the end of a run.
   void MergeFrom(const AuditLog& other) {
     violations_ += other.violations_;
     for (const std::string& m : other.messages_) {

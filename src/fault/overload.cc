@@ -47,15 +47,12 @@ TimeNs OverloadDriver::pressure_end() const {
 void OverloadDriver::Start() {
   JUG_CHECK(!started_);
   started_ = true;
-  // Nominal caps for the whole run. Prior capacities are saved because the
-  // legacy chaos path caps the long-lived thread-local pool, which must not
-  // stay capped once this run is over.
-  prior_capacity_.clear();
-  for (PacketPool* pool : wiring_.pools) {
-    prior_capacity_.push_back(pool->capacity());
-    if (wiring_.pool_capacity != 0) {
-      pool->set_capacity(wiring_.pool_capacity);
-    }
+  // Nominal caps for the whole run. The prior capacity is saved because the
+  // chaos harness caps the long-lived thread-local pool, which must not stay
+  // capped once this run is over.
+  prior_capacity_ = wiring_.pool->capacity();
+  if (wiring_.pool_capacity != 0) {
+    wiring_.pool->set_capacity(wiring_.pool_capacity);
   }
   nominal_ring_ = wiring_.ring_capacity != 0 ? wiring_.ring_capacity
                                              : wiring_.receiver_nic->config().ring_capacity;
@@ -73,8 +70,8 @@ void OverloadDriver::Start() {
 }
 
 void OverloadDriver::Teardown() {
-  for (size_t i = 0; i < wiring_.pools.size() && i < prior_capacity_.size(); ++i) {
-    wiring_.pools[i]->set_capacity(prior_capacity_[i]);
+  if (started_) {
+    wiring_.pool->set_capacity(prior_capacity_);
   }
 }
 
@@ -84,9 +81,8 @@ void OverloadDriver::BeginWindow(size_t index) {
   if (w.kind == OverloadKind::kBrownout) {
     ++stats_.brownouts;
     const uint32_t pct = std::clamp<uint32_t>(w.cap_pct, 1, 100);
-    if (wiring_.pool_capacity != 0 && wiring_.brownout_pool != nullptr) {
-      wiring_.brownout_pool->set_capacity(
-          std::max<size_t>(1, wiring_.pool_capacity * pct / 100));
+    if (wiring_.pool_capacity != 0) {
+      wiring_.pool->set_capacity(std::max<size_t>(1, wiring_.pool_capacity * pct / 100));
     }
     wiring_.receiver_nic->set_ring_capacity(std::max<size_t>(1, nominal_ring_ * pct / 100));
     if (wiring_.gro_flow_cap != 0) {
@@ -103,8 +99,8 @@ void OverloadDriver::EndWindow(size_t index) {
   ++stats_.windows_ended;
   if (w.kind == OverloadKind::kBrownout) {
     ++stats_.cap_restores;
-    if (wiring_.pool_capacity != 0 && wiring_.brownout_pool != nullptr) {
-      wiring_.brownout_pool->set_capacity(wiring_.pool_capacity);
+    if (wiring_.pool_capacity != 0) {
+      wiring_.pool->set_capacity(wiring_.pool_capacity);
     }
     wiring_.receiver_nic->set_ring_capacity(nominal_ring_);
     if (wiring_.gro_flow_cap != 0) {
@@ -172,12 +168,10 @@ OverloadAuditor::OverloadAuditor(std::string name, const OverloadWiring& wiring,
   for (const OverloadWindow& w : windows) {
     pressure_end_ = std::max(pressure_end_, w.end);
   }
-  // Baselines, not raw counters: the legacy path audits the long-lived
+  // Baselines, not raw counters: the chaos harness audits the long-lived
   // thread-local pool, whose lifetime counters accumulate across runs.
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
-    base_.push_back(PoolBaseline{pool->acquired(), pool->released(), pool->exhausted()});
-  }
+  const PacketPool* pool = wiring_.pool;
+  base_ = PoolBaseline{pool->acquired(), pool->released(), pool->exhausted()};
   if (wiring_.sender_tx != nullptr) {
     sender_tx_base_.exhausted = wiring_.sender_tx->pool_exhausted_drops;
   }
@@ -189,54 +183,37 @@ OverloadAuditor::OverloadAuditor(std::string name, const OverloadWiring& wiring,
   }
 }
 
-namespace {
-int64_t OutstandingOf(PacketPool* pool, const uint64_t base_acquired,
-                      const uint64_t base_released) {
-  return static_cast<int64_t>(pool->acquired() - base_acquired) -
-         static_cast<int64_t>(pool->released() - base_released);
+int64_t OverloadAuditor::SignedOutstandingDelta() const {
+  return static_cast<int64_t>(wiring_.pool->acquired() - base_.acquired) -
+         static_cast<int64_t>(wiring_.pool->released() - base_.released);
 }
-}  // namespace
 
 uint64_t OverloadAuditor::OutstandingDelta() const {
-  int64_t total = 0;
-  for (size_t i = 0; i < wiring_.pools.size(); ++i) {
-    total += OutstandingOf(wiring_.pools[i], base_[i].acquired, base_[i].released);
-  }
-  return total > 0 ? static_cast<uint64_t>(total) : 0;
+  const int64_t live = SignedOutstandingDelta();
+  return live > 0 ? static_cast<uint64_t>(live) : 0;
 }
 
 uint64_t OverloadAuditor::pool_exhausted_delta() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < wiring_.pools.size(); ++i) {
-    total += wiring_.pools[i]->exhausted() - base_[i].exhausted;
-  }
-  return total;
+  return wiring_.pool->exhausted() - base_.exhausted;
 }
 
 void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
   ++probes_;
-  // Main thread, engine quiescent: folding the remote ledgers here is both
-  // race-free and deterministic (every release up to `now` has completed).
-  for (size_t i = 0; i < wiring_.pools.size(); ++i) {
-    PacketPool* pool = wiring_.pools[i];
-    pool->ReconcileRemoteReleases();
-    const int64_t outstanding = OutstandingOf(pool, base_[i].acquired, base_[i].released);
-    if (outstanding > 0 && static_cast<uint64_t>(outstanding) > peak_outstanding_) {
-      peak_outstanding_ = static_cast<uint64_t>(outstanding);
-    }
-    // The hard cap: occupancy added by this run never exceeds the nominal
-    // capacity (brown-outs shrink below nominal, so nominal bounds both).
-    if (wiring_.pool_capacity != 0 &&
-        outstanding > static_cast<int64_t>(wiring_.pool_capacity)) {
-      log_->Violation(name_, "pool occupancy " + std::to_string(outstanding) +
-                                 " exceeds capacity " +
-                                 std::to_string(wiring_.pool_capacity));
-    }
+  const int64_t outstanding = SignedOutstandingDelta();
+  if (outstanding > 0 && static_cast<uint64_t>(outstanding) > peak_outstanding_) {
+    peak_outstanding_ = static_cast<uint64_t>(outstanding);
+  }
+  // The hard cap: occupancy added by this run never exceeds the nominal
+  // capacity (brown-outs shrink below nominal, so nominal bounds both).
+  if (wiring_.pool_capacity != 0 &&
+      outstanding > static_cast<int64_t>(wiring_.pool_capacity)) {
+    log_->Violation(name_, "pool occupancy " + std::to_string(outstanding) +
+                               " exceeds capacity " + std::to_string(wiring_.pool_capacity));
   }
   // Forward progress / no deadlock: a run that executes no events and moves
   // no bytes across several consecutive 10ms probe windows while the clock
   // still advances is wedged, pressure or not.
-  const uint64_t events = wiring_.executed_events ? wiring_.executed_events() : 0;
+  const uint64_t events = wiring_.loop != nullptr ? wiring_.loop->executed_events() : 0;
   if (last_probe_now_ >= 0 && now > last_probe_now_) {
     if (events == last_events_ && bytes == last_bytes_) {
       ++stall_probes_;
@@ -263,9 +240,6 @@ void OverloadAuditor::Probe(TimeNs now, uint64_t bytes) {
 
 void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_complete,
                                  const OverloadStats& driver) {
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
-  }
   final_outstanding_ = OutstandingDelta();
   final_exhausted_ = pool_exhausted_delta();
 
@@ -343,12 +317,7 @@ void OverloadAuditor::FinalCheck(TimeNs now, uint64_t bytes, bool transfer_compl
   }
 }
 
-uint64_t OverloadAuditor::MeasureLeakedPackets() const {
-  for (PacketPool* pool : wiring_.pools) {
-    pool->ReconcileRemoteReleases();
-  }
-  return OutstandingDelta();
-}
+uint64_t OverloadAuditor::MeasureLeakedPackets() const { return OutstandingDelta(); }
 
 void OverloadAuditor::Publish(MetricsRegistry* registry) const {
   registry->MaxGauge("overload.peak_pool_outstanding", name_, peak_outstanding_);

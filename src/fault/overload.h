@@ -22,16 +22,14 @@
 // OverloadAuditor can check conservation: every refused allocation shows up
 // in exactly one published drop counter.
 //
-// Determinism: the driver runs on the receiver-side event loop with fixed
-// tuple/sequence schedules (no RNG), and pool occupancy is reconciled only at
-// deterministic points (see PacketPool::ReconcileRemoteReleases), so every
-// counter here — and therefore the chaos digest — is shard-count invariant.
+// Determinism: the driver runs on the run's event loop with fixed
+// tuple/sequence schedules (no RNG), so every counter here — and therefore
+// the chaos digest — reproduces bit-identically for the same seed.
 
 #ifndef JUGGLER_SRC_FAULT_OVERLOAD_H_
 #define JUGGLER_SRC_FAULT_OVERLOAD_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -88,9 +86,9 @@ struct OverloadStats {
 // Everything the driver and auditor touch, gathered by the chaos harness.
 // All pointers are borrowed and must outlive both objects.
 struct OverloadWiring {
-  // Receiver-side loop: windows, bursts and cap changes are scheduled here,
-  // so in sharded runs every mutation happens on the thread that owns the
-  // receiver domain (no cross-thread cap writes).
+  // The run's loop: windows, bursts and cap changes are scheduled here, and
+  // its executed-event count is the forward-progress signal the auditor
+  // watches for deadlock.
   EventLoop* loop = nullptr;
   PacketSink* inject = nullptr;       // receiver NIC ingress (wire_in)
   PacketFactory* factory = nullptr;   // receiver-side factory
@@ -98,25 +96,19 @@ struct OverloadWiring {
   const NicTxStats* sender_tx = nullptr;
   const NicTxStats* receiver_tx = nullptr;
   const FaultStats* fault = nullptr;  // optional (null = no fault stage)
-  // Every pool the run allocates from; all are capped at pool_capacity for
-  // the run. brownout_pool (an element of pools, or the single legacy TLS
-  // pool) is the one brown-out windows shrink mid-run: the receiver-owned
-  // pool, so the shrink happens on the thread that acquires from it.
-  std::vector<PacketPool*> pools;
-  PacketPool* brownout_pool = nullptr;
+  // The pool the run allocates from: capped at pool_capacity for the run,
+  // and shrunk mid-run by brown-out windows.
+  PacketPool* pool = nullptr;
   uint32_t target_ip = 0;      // injected packets' destination
-  size_t pool_capacity = 0;    // nominal cap applied to every pool (0 = none)
+  size_t pool_capacity = 0;    // nominal cap applied to the pool (0 = none)
   size_t ring_capacity = 0;    // nominal ring cap (0 = keep NicRx config)
   size_t gro_flow_cap = 0;     // nominal GRO flow budget (for brown-out math)
-  // Total executed events across all loops/domains — the forward-progress
-  // signal the auditor watches for deadlock.
-  std::function<uint64_t()> executed_events;
 };
 
 // Schedules the pressure windows and applies the capacity caps. Construct,
 // then Start() once before the run loop; Teardown() after the run restores
-// every pool's pre-run capacity (the legacy path shares the long-lived
-// thread-local pool, which must not stay capped after the run).
+// the pool's pre-run capacity (the run shares the long-lived thread-local
+// pool, which must not stay capped after the run).
 class OverloadDriver {
  public:
   OverloadDriver(std::vector<OverloadWindow> windows, const OverloadWiring& wiring);
@@ -137,15 +129,14 @@ class OverloadDriver {
   std::vector<OverloadWindow> windows_;
   OverloadWiring wiring_;
   OverloadStats stats_;
-  std::vector<size_t> prior_capacity_;  // per wiring_.pools entry, for Teardown
+  size_t prior_capacity_ = 0;  // the pool's capacity before Start, for Teardown
   size_t nominal_ring_ = 0;
   uint32_t next_churn_ip_ = 0;
   bool started_ = false;
 };
 
 // Asserts the overload invariants without stopping the run: probes are taken
-// from the main thread between engine steps (every loop quiescent), the
-// final check after the drain. Violations land in the shared AuditLog and
+// between loop steps, the final check after the drain. Violations land in the shared AuditLog and
 // therefore in the chaos result/digest.
 class OverloadAuditor {
  public:
@@ -162,15 +153,15 @@ class OverloadAuditor {
                   const OverloadStats& driver);
 
   // Registry snapshot of the audited quantities (deltas, not raw pool
-  // counters, so values are identical across runs and shard counts).
+  // counters, so values are identical across in-process runs).
   void Publish(MetricsRegistry* registry) const;
 
   uint64_t probes() const { return probes_; }
   uint64_t peak_outstanding() const { return peak_outstanding_; }
   uint64_t pool_exhausted_delta() const;
 
-  // Packets still outstanding across the wired pools, after the caller has
-  // torn down all packet-holding state (ShardedEngine::ReleaseResidualPackets).
+  // Packets still outstanding in the wired pool, after the caller has torn
+  // down all packet-holding state (the testbed, then EventLoop::Shutdown).
   // Anything nonzero is a leak — storage the stack lost track of.
   uint64_t MeasureLeakedPackets() const;
 
@@ -184,13 +175,15 @@ class OverloadAuditor {
     uint64_t exhausted = 0;
   };
 
+  // Pool occupancy added since construction: signed, and clamped at zero.
+  int64_t SignedOutstandingDelta() const;
   uint64_t OutstandingDelta() const;
 
   std::string name_;
   OverloadWiring wiring_;
   AuditLog* log_;
   TimeNs pressure_end_ = 0;
-  std::vector<PoolBaseline> base_;
+  PoolBaseline base_;
   PoolBaseline sender_tx_base_;  // only .exhausted used (pool drop counters)
   uint64_t receiver_tx_drops_base_ = 0;
   uint64_t fault_dup_drops_base_ = 0;

@@ -25,7 +25,7 @@ constexpr SignatureKind kAllKinds[] = {
     SignatureKind::kClean,          SignatureKind::kInvariantViolation,
     SignatureKind::kException,      SignatureKind::kCrashSignal,
     SignatureKind::kSanitizerAbort, SignatureKind::kDeadlockTimeout,
-    SignatureKind::kDigestDivergence, SignatureKind::kAbnormalExit,
+    SignatureKind::kAbnormalExit,
 };
 
 }  // namespace
@@ -44,8 +44,6 @@ const char* SignatureKindName(SignatureKind kind) {
       return "sanitizer-abort";
     case SignatureKind::kDeadlockTimeout:
       return "deadlock-timeout";
-    case SignatureKind::kDigestDivergence:
-      return "digest-divergence";
     case SignatureKind::kAbnormalExit:
       return "abnormal-exit";
   }

@@ -27,7 +27,6 @@ enum class SignatureKind : int {
   kCrashSignal,         // child died by signal (JUG_CHECK abort, segfault)
   kSanitizerAbort,      // ASan/TSan/UBSan report on stderr
   kDeadlockTimeout,     // watchdog SIGKILLed a wedged child
-  kDigestDivergence,    // --shards 1 and --shards N digests disagree
   kAbnormalExit,        // nonzero exit or unparseable report, cause unknown
 };
 

@@ -64,9 +64,8 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
     const SpecOutcome outcome = ExecuteSpec(spec, exec);
     ++report.specs_run;
     if (options.verbose) {
-      std::printf("  spec %3d: family=%s seed=%llu shards=%llu -> %s%s%s\n", i,
+      std::printf("  spec %3d: family=%s seed=%llu -> %s%s%s\n", i,
                   FaultFamilyName(spec.family), static_cast<unsigned long long>(spec.seed),
-                  static_cast<unsigned long long>(spec.shards),
                   SignatureKindName(outcome.signature.kind),
                   outcome.signature.detail.empty() ? "" : ": ",
                   outcome.signature.detail.c_str());
@@ -105,7 +104,6 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       bundle.signature = finding.signature;
       const SignatureKind kind = finding.signature.kind;
       const bool cooperative = kind == SignatureKind::kInvariantViolation ||
-                               kind == SignatureKind::kDigestDivergence ||
                                kind == SignatureKind::kException;
       if (options.attach_obs && cooperative && !finding.shrunk.plant_wedge) {
         bundle.obs = CollectSpecObs(finding.shrunk);

@@ -23,9 +23,6 @@ bool IsKnownSpecKey(const std::string& key) {
       "inseq_timeout_ns",
       "ofo_timeout_ns",
       "max_flows",
-      "shards",
-      "shard_mailbox_capacity",
-      "check_shard_divergence",
       "use_explicit_faults",
       "faults",
       "use_explicit_flaps",
@@ -72,8 +69,6 @@ ChaosOptions ScenarioSpec::ToChaosOptions() const {
   opt.reorder_delay = reorder_delay;
   opt.num_windows = num_windows;
   opt.audit = true;
-  opt.shards = static_cast<size_t>(shards);
-  opt.shard_mailbox_capacity = static_cast<size_t>(shard_mailbox_capacity);
   opt.link_rate_bps = link_rate_bps;
   opt.base_delay = base_delay;
   opt.int_coalesce = int_coalesce;
@@ -130,9 +125,6 @@ Json ScenarioSpec::ToJson() const {
   j.Set("inseq_timeout_ns", Json::Int(inseq_timeout));
   j.Set("ofo_timeout_ns", Json::Int(ofo_timeout));
   j.Set("max_flows", Json::Uint(max_flows));
-  j.Set("shards", Json::Uint(shards));
-  j.Set("shard_mailbox_capacity", Json::Uint(shard_mailbox_capacity));
-  j.Set("check_shard_divergence", Json::Bool(check_shard_divergence));
   j.Set("use_explicit_faults", Json::Bool(use_explicit_faults));
   if (use_explicit_faults) {
     j.Set("faults", FaultTimelineToJson(faults));
@@ -208,9 +200,6 @@ bool ScenarioSpec::FromJson(const Json& json, ScenarioSpec* out, std::string* er
       !json.GetInt("int_coalesce_ns", &s.int_coalesce) ||
       !json.GetInt("inseq_timeout_ns", &s.inseq_timeout) ||
       !json.GetInt("ofo_timeout_ns", &s.ofo_timeout) || !json.GetUint("max_flows", &s.max_flows) ||
-      !json.GetUint("shards", &s.shards) ||
-      !json.GetUint("shard_mailbox_capacity", &s.shard_mailbox_capacity) ||
-      !json.GetBool("check_shard_divergence", &s.check_shard_divergence) ||
       !json.GetBool("use_explicit_faults", &s.use_explicit_faults) ||
       !json.GetBool("use_explicit_flaps", &s.use_explicit_flaps) ||
       !json.GetBool("plant_flush_skew", &s.plant_flush_skew) ||
@@ -331,10 +320,11 @@ ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
   s.inseq_timeout = rng->NextInRange(Us(30), Us(90));
   s.ofo_timeout = s.reorder_delay + rng->NextInRange(Us(50), Us(300));
   s.max_flows = 8 + rng->NextBounded(57);  // [8, 64]
+  // Retired shard-era draws, still consumed so pinned fuzz seeds sample the same specs.
   if (rng->NextBool(0.3)) {
-    s.shards = 1 + rng->NextBounded(4);  // sharded engine path
+    rng->NextBounded(4);
   }
-  s.check_shard_divergence = rng->NextBool(limits.shard_divergence_prob);
+  rng->NextBool(0.25);
   // App-workload draws come from a stream derived from the spec's own seed,
   // not from `rng`: adding (or later extending) them consumes nothing from
   // the main stream, so every pre-app pinned fuzz seed still samples the

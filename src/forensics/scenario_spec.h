@@ -2,7 +2,7 @@
 //
 // The forensics layer treats "a run" as data: every knob that can change a
 // run's outcome — topology parameters, NIC and GRO timeouts, the fault and
-// flap timelines, the RNG seed, the shard count — lives in one struct that
+// flap timelines, the RNG seed — lives in one struct that
 // round-trips through JSON byte-stably. The fuzz supervisor samples specs,
 // the executor runs them in watchdogged children, the shrinker rewrites
 // their timelines event by event, and a repro bundle carries one verbatim.
@@ -48,14 +48,6 @@ struct ScenarioSpec {
   // stay byte-identical).
   RxDriverKind rx_driver = RxDriverKind::kRss;
 
-  // Execution shape. shards == 0 is the legacy single event loop.
-  uint64_t shards = 0;
-  uint64_t shard_mailbox_capacity = 0;
-  // Oracle: additionally run the juggler engine at --shards 1 and
-  // --shards 2 and require bit-identical digests (the sharded engine's
-  // core determinism contract).
-  bool check_shard_divergence = false;
-
   // Explicit timelines; when the flags are off the run derives both from
   // (family, seed) exactly as RunChaos always has.
   bool use_explicit_faults = false;
@@ -90,7 +82,9 @@ struct ScenarioSpec {
 
   // Members this build did not recognize, preserved in document order and
   // re-emitted verbatim by ToJson(): repro bundles written by newer builds
-  // keep replaying here without silently dropping their fields.
+  // keep replaying here without silently dropping their fields, and so do
+  // older bundles carrying retired keys ("shards", "shard_mailbox_capacity",
+  // "check_shard_divergence" from the removed sharded engine).
   Json extra = Json::Object();
 
   // The ChaosOptions this spec pins (audit always on — the auditor is the
@@ -116,9 +110,6 @@ struct SampleLimits {
   uint64_t min_transfer_bytes = 400'000;
   uint64_t max_transfer_bytes = 2'000'000;
   int max_windows = 4;
-  // Probability a sampled spec also runs the shard-divergence oracle
-  // (roughly doubles that spec's cost).
-  double shard_divergence_prob = 0.25;
   // Probability a sampled spec carries an application workload instead of
   // the raw transfer. App draws come from a stream derived from the spec's
   // own seed, so raising or lowering this never shifts the non-app fields

@@ -43,12 +43,7 @@ Json SpecRunReport::ToJson() const {
   }
   j.Set("violation_messages", std::move(msgs));
   j.Set("digest", Json::Uint(digest));
-  j.Set("digest_shard1", Json::Uint(digest_shard1));
-  j.Set("digest_shard2", Json::Uint(digest_shard2));
-  j.Set("diverged", Json::Bool(diverged));
   j.Set("exception", Json::Str(exception));
-  j.Set("mailbox_hwm", Json::Uint(mailbox_hwm));
-  j.Set("mailbox_overflows", Json::Uint(mailbox_overflows));
   j.Set("app_issued", Json::Uint(app_issued));
   j.Set("app_retries", Json::Uint(app_retries));
   j.Set("app_timeouts", Json::Uint(app_timeouts));
@@ -66,17 +61,13 @@ bool SpecRunReport::FromJson(const Json& json, SpecRunReport* out, std::string* 
   if (!json.GetBool("ok", &r.ok) || !json.GetBool("completed", &r.completed) ||
       !json.GetBool("streams_match", &r.streams_match) ||
       !json.GetUint("violations", &r.violations) || !json.GetUint("digest", &r.digest) ||
-      !json.GetUint("digest_shard1", &r.digest_shard1) ||
-      !json.GetUint("digest_shard2", &r.digest_shard2) || !json.GetBool("diverged", &r.diverged) ||
       !json.GetString("exception", &r.exception)) {
     *error = "report: field with wrong type";
     return false;
   }
   // Optional (absent in pre-observability / pre-app reports): GetUint
   // leaves the zero default in place when the key is missing.
-  if (!json.GetUint("mailbox_hwm", &r.mailbox_hwm) ||
-      !json.GetUint("mailbox_overflows", &r.mailbox_overflows) ||
-      !json.GetUint("app_issued", &r.app_issued) ||
+  if (!json.GetUint("app_issued", &r.app_issued) ||
       !json.GetUint("app_retries", &r.app_retries) ||
       !json.GetUint("app_timeouts", &r.app_timeouts) ||
       !json.GetUint("app_executions", &r.app_executions) ||
@@ -100,18 +91,14 @@ bool SpecRunReport::FromJson(const Json& json, SpecRunReport* out, std::string* 
 SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
   SpecRunReport rep;
   if (spec.plant_wedge) {
-    // Test-only: simulate a wedged child (stuck barrier, livelocked loop).
+    // Test-only: simulate a wedged child (livelocked loop).
     // volatile makes the spin a side effect the compiler must keep.
     volatile uint64_t spin = 0;
     for (;;) {
       ++spin;
     }
   }
-  ChaosOptions opt = spec.ToChaosOptions();
-  // Metrics snapshotting happens after the run finishes, so turning it on
-  // here cannot perturb the datapath or the digest; it is how the mailbox
-  // pressure counters reach the report (and thence the bundle).
-  opt.obs.metrics = true;
+  const ChaosOptions opt = spec.ToChaosOptions();
   try {
     const ChaosResult r = RunChaos(opt);
     rep.ok = r.ok;
@@ -129,18 +116,6 @@ SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
     rep.app_timeouts = r.juggler.app.timeouts;
     rep.app_executions = r.juggler.app.executions;
     rep.app_duplicates_suppressed = r.juggler.app.duplicates_suppressed;
-    rep.mailbox_hwm = r.juggler.obs.metrics.GaugeValue("sim.mailbox_high_watermark", "");
-    rep.mailbox_overflows =
-        r.juggler.obs.metrics.CounterValue("sim.mailbox_overflow_drops", "");
-    if (spec.check_shard_divergence) {
-      ChaosOptions o1 = opt;
-      o1.shards = 1;
-      ChaosOptions o2 = opt;
-      o2.shards = 2;
-      rep.digest_shard1 = RunChaosEngine(o1, /*use_juggler=*/true).digest;
-      rep.digest_shard2 = RunChaosEngine(o2, /*use_juggler=*/true).digest;
-      rep.diverged = rep.digest_shard1 != rep.digest_shard2;
-    }
   } catch (const std::exception& e) {
     rep.exception = e.what();
   }
@@ -207,11 +182,6 @@ SpecOutcome ExecuteSpec(const ScenarioSpec& spec, const ExecOptions& options) {
   }
   if (!out.report.exception.empty()) {
     out.signature = MakeSignature(SignatureKind::kException, out.report.exception);
-    return out;
-  }
-  if (out.report.diverged) {
-    out.signature =
-        MakeSignature(SignatureKind::kDigestDivergence, "shards=1 vs shards=2 digests differ");
     return out;
   }
   if (!out.report.ok || out.report.violations > 0) {

@@ -5,11 +5,10 @@
 // stream a structured report back over a pipe, and classify whatever came
 // back — or didn't — into a FailureSignature. The child is never trusted:
 // it may report violations (the good case), throw, abort on a JUG_CHECK,
-// trip a sanitizer, or wedge a barrier and hang until the watchdog SIGKILLs
-// it. Classification precedence runs from least to most cooperative
-// evidence: watchdog timeout, death by signal, nonzero exit, unparseable
-// report, then the report's own contents (exception, digest divergence,
-// invariant violations).
+// trip a sanitizer, or wedge and hang until the watchdog SIGKILLs it.
+// Classification precedence runs from least to most cooperative evidence:
+// watchdog timeout, death by signal, nonzero exit, unparseable report, then
+// the report's own contents (exception, invariant violations).
 
 #ifndef JUGGLER_SRC_FORENSICS_SPEC_EXECUTOR_H_
 #define JUGGLER_SRC_FORENSICS_SPEC_EXECUTOR_H_
@@ -31,15 +30,8 @@ struct SpecRunReport {
   bool streams_match = false;
   uint64_t violations = 0;     // both engines' violation count
   std::vector<std::string> violation_messages;
-  uint64_t digest = 0;          // juggler engine digest (primary run)
-  uint64_t digest_shard1 = 0;   // divergence oracle, when enabled
-  uint64_t digest_shard2 = 0;
-  bool diverged = false;
+  uint64_t digest = 0;          // juggler engine digest
   std::string exception;        // what() of an escaped std::exception
-  // Sharded-engine mailbox pressure, routed through the metrics registry so
-  // repro bundles carry it (zero when the spec ran the legacy engine).
-  uint64_t mailbox_hwm = 0;
-  uint64_t mailbox_overflows = 0;
   // Application-workload evidence (all zero when the spec runs the classic
   // raw transfer): how hard the retry/dedup machinery actually worked.
   uint64_t app_issued = 0;

@@ -65,7 +65,7 @@ TimeNs StandardGro::Receive(PacketPtr packet) {
 
 TimeNs StandardGro::PollComplete() {
   TimeNs cost = 0;
-  // Flows flush in creation order — deterministic for any shard count.
+  // Flows flush in creation order — deterministic for a given packet stream.
   held_.ForEach([&](const FiveTuple&, SegmentBuilder& builder) {
     if (!builder.empty()) {
       Deliver(builder.Take(), FlushReason::kPollEnd);

@@ -6,7 +6,7 @@
 // used to share costs a pointer chase per lookup (bucket -> node), puts the
 // key and the value behind that chase, and iterates in an order that is an
 // artifact of the hash function — awkward for an engine whose deliveries
-// must replay identically across shard counts.
+// must replay identically from a seed.
 //
 // FlowTable<T> replaces it with:
 //
@@ -24,8 +24,8 @@
 //  * Deterministic iteration. Records carry insertion-order links;
 //    ForEach() visits flows in creation order, independent of hash values
 //    and capacity history. Per-RX-queue packet streams are identical for
-//    every shard count, so creation order — and therefore poll-complete
-//    flush order — is too.
+//    a given seed, so creation order — and therefore poll-complete flush
+//    order — is too.
 //  * Clock eviction (the cachetable second-chance idiom). Every lookup hit
 //    sets the record's reference bit; ClockCandidate() sweeps the insertion
 //    ring from a persistent hand, clearing set bits and stopping at the

@@ -22,8 +22,6 @@
 
 namespace juggler {
 
-class RemoteEndpoint;
-
 struct LinkConfig {
   int64_t rate_bps = 10 * kGbps;
   TimeNs propagation_delay = Us(1);
@@ -80,13 +78,6 @@ class Link : public PacketSink {
   void set_rate_bps(int64_t rate_bps);
   void set_queue_limit_bytes(int64_t limit) { config_.queue_limit_bytes = limit; }
 
-  // Sharded operation: deliver serialized packets into another shard
-  // domain's mailbox instead of the local sink. The endpoint's latency
-  // stands in for the whole propagation delay (config_.propagation_delay is
-  // not applied on top), and no local flight timer is scheduled — the
-  // crossing itself is the flight.
-  void set_remote(RemoteEndpoint* remote) { remote_ = remote; }
-
   int64_t queued_bytes() const { return total_queued_bytes_; }
   const LinkStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
@@ -101,7 +92,6 @@ class Link : public PacketSink {
   std::string name_;
   LinkConfig config_;
   PacketSink* sink_;
-  RemoteEndpoint* remote_ = nullptr;  // when set, replaces sink_ + flight timer
   bool down_ = false;
 
   // One FIFO per priority level; level 0 (kHigh) served first.

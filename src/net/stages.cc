@@ -3,7 +3,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/sim/shard_mailbox.h"
 #include "src/util/logging.h"
 
 namespace juggler {
@@ -27,12 +26,6 @@ void ReorderStage::Accept(PacketPtr packet) {
   displacement_.Record(max_out_ > out ? static_cast<uint64_t>(max_out_ - out) : 0);
   if (out > max_out_) {
     max_out_ = out;
-  }
-  if (remote_ != nullptr) {
-    // The destination domain replays the lane delay as envelope extra; no
-    // local timer needed.
-    remote_->Deliver(std::move(packet), out - now);
-    return;
   }
   PacketSink* sink = sink_;
   loop_->ScheduleAt(out,

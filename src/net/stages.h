@@ -15,8 +15,6 @@
 
 namespace juggler {
 
-class RemoteEndpoint;
-
 // Models the paper's NetFPGA-10G testbed switch (Figure 11): each inbound
 // packet is hashed uniformly at random to one of N internal lanes; lane i
 // adds a fixed delay. Order is preserved *within* a lane (each lane is a
@@ -27,11 +25,6 @@ class ReorderStage : public PacketSink {
   ReorderStage(EventLoop* loop, std::vector<TimeNs> lane_delays, uint64_t seed, PacketSink* sink);
 
   void Accept(PacketPtr packet) override;
-
-  // Sharded operation: emit into another shard domain's mailbox instead of
-  // scheduling a local timer. The lane delay rides as the envelope's extra
-  // on top of the endpoint's wire latency.
-  void set_remote(RemoteEndpoint* remote) { remote_ = remote; }
 
   uint64_t packets_through() const { return packets_; }
 
@@ -47,7 +40,6 @@ class ReorderStage : public PacketSink {
   std::vector<TimeNs> lane_last_out_;  // FIFO guarantee per lane
   Rng rng_;
   PacketSink* sink_;
-  RemoteEndpoint* remote_ = nullptr;
   uint64_t packets_ = 0;
   Log2Histogram displacement_;
   TimeNs max_out_ = 0;  // latest egress time scheduled so far

@@ -1,11 +1,11 @@
-// FlightRecorder: a fixed-capacity ring buffer of structured trace events,
-// one recorder per shard domain so the datapath writes without any
-// synchronization (the sharded engine's barrier discipline guarantees a
-// domain's events are written by exactly one worker at a time; merging
-// happens on the calling thread after the workers join).
+// FlightRecorder: a fixed-capacity ring buffer of structured trace events.
+// The datapath writes without any synchronization: a recorder belongs to
+// one simulation, which runs on one thread.
 //
-// Events carry a (time, shard, seq) triple; MergeTraces sorts by it, which
-// makes the exported Chrome-trace JSON byte-identical across --shards=N.
+// Events carry a (time, shard, seq) triple; MergeTraces sorts by it, so the
+// exported Chrome-trace JSON is byte-identical for identical runs. The
+// shard id is the recorder's id (the Chrome-trace "tid"); chaos runs use a
+// single recorder, shard 0.
 // Export reuses src/util/json and the resulting file loads directly into
 // chrome://tracing or https://ui.perfetto.dev.
 

@@ -2,13 +2,12 @@
 // (family, label). Zero overhead when disabled: nothing on the datapath
 // touches a registry — each layer keeps its existing plain-uint64 stats
 // struct and a free Publish*Stats() function snapshots those counters into
-// the registry after the run (for the sharded engine, after the workers have
-// joined, so the registry itself never needs atomics and stays TSan-clean).
+// the registry after the run, so the registry itself never needs atomics.
 //
 // Determinism: the registry stores entries in ordered maps and serializes
 // through src/util/json (ordered members), so ToJson().Dump() is
-// byte-identical for identical metric values — the property the shard
-// invariance tests assert across --shards={1,2,8}.
+// byte-identical for identical metric values — the property the obs
+// determinism tests assert across reruns of the same seed.
 
 #ifndef JUGGLER_SRC_OBS_METRICS_H_
 #define JUGGLER_SRC_OBS_METRICS_H_

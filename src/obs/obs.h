@@ -18,7 +18,7 @@ namespace juggler {
 struct ObsConfig {
   bool metrics = false;  // snapshot per-layer stats into a MetricsRegistry
   bool trace = false;    // attach FlightRecorders to the datapath hooks
-  size_t trace_capacity = 1u << 16;  // ring capacity per shard domain
+  size_t trace_capacity = 1u << 16;  // flight-recorder ring capacity
 };
 
 struct ObsReport {

@@ -8,8 +8,7 @@ static_assert(kMss + kPerPacketWireOverhead > kMtuBytes,
               "wire frame must cover the MTU plus framing overhead");
 static_assert(std::is_trivially_copyable_v<Packet>,
               "Packet reset in PacketPool::Acquire relies on trivial copyability");
-static_assert(sizeof(Packet) == 128,
-              "simulation state plus pool bookkeeping must fill exactly two cache lines");
+static_assert(sizeof(Packet) == 128, "a Packet must fill exactly two cache lines");
 
 constinit thread_local PacketPool* PacketPool::tls_pool_ = nullptr;
 
@@ -23,7 +22,6 @@ PacketPool& PacketPool::CreateForThread() {
 }
 
 PacketPool::~PacketPool() {
-  DrainRemote();  // storage parked on the return stack is ours to free
   for (Packet* p : free_) {
     delete p;
   }
@@ -33,25 +31,12 @@ PacketPool::~PacketPool() {
 }
 
 void PacketPool::Trim() {
-  DrainRemote();
   for (Packet* p : free_) {
     delete p;
   }
   free_.clear();
   compact_watermark_ = kCompactFloor;
   compact_last_acquired_ = acquired_;
-}
-
-void PacketPool::ReleaseRemote(Packet* p) noexcept {
-  Packet* head = remote_free_.load(std::memory_order_relaxed);
-  do {
-    p->pool_next = head;
-  } while (!remote_free_.compare_exchange_weak(head, p, std::memory_order_release,
-                                               std::memory_order_relaxed));
-  // Ledger half of the release. The owner folds this in only at its next
-  // reconcile point, so occupancy stays deterministic even though the push
-  // above races freely with the owner's drain.
-  remote_released_.fetch_add(1, std::memory_order_release);
 }
 
 void PacketPool::CompactFreeList() noexcept {

@@ -31,8 +31,8 @@ AppHarness::AppHarness(const AppWorkloadOptions& options, const AppHarnessWiring
     conn->s2c = std::make_unique<FrameChannel>(server_ep);
 
     const std::string prefix = w_.name + "/conn" + std::to_string(i);
-    // Byte oracles, one per direction. The A-side checker runs on host A's
-    // shard domain, so it writes the harness-private log.
+    // Byte oracles, one per direction. The A-side checker writes the
+    // harness-private log, merged into the shared one at Finish().
     conn->check_at_a = std::make_unique<StreamIntegrityChecker>(prefix + "/at_a", &a_side_log_);
     conn->check_at_b = std::make_unique<StreamIntegrityChecker>(prefix + "/at_b", w_.log);
 

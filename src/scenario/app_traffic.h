@@ -15,9 +15,10 @@
 //
 // Each direction of each connection gets a StreamIntegrityChecker (byte
 // oracle) and the whole run shares one AppIntegrityAuditor (request
-// oracle). Checkers that run on host A's shard domain write to a private
-// AuditLog merged into the shared one after the workers join, so no checker
-// ever races the B-side JugglerAuditor on the shared log.
+// oracle). Checkers on host A write to a private AuditLog merged into the
+// shared one when the run finishes, so the shared log's message order — and
+// with it the first-violation detail forensics signatures fingerprint —
+// stays what recorded repro bundles expect.
 
 #ifndef JUGGLER_SRC_SCENARIO_APP_TRAFFIC_H_
 #define JUGGLER_SRC_SCENARIO_APP_TRAFFIC_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <utility>
 
@@ -82,22 +81,21 @@ std::string EngineName(const ChaosOptions& opt, StackKind stack) {
   return "?";
 }
 
-// The NetFPGA options a chaos run uses, shared by the legacy and sharded
-// execution paths so both subject packets to the same fault schedule.
+// The NetFPGA options a chaos run uses.
 NetFpgaOptions ChaosTestbedOptions(const ChaosOptions& opt, StackKind stack, AuditLog* log,
-                                   FlightRecorder* sender_rec, FlightRecorder* receiver_rec) {
+                                   FlightRecorder* recorder) {
   NetFpgaOptions nopt;
   nopt.link_rate_bps = opt.link_rate_bps;
   nopt.base_delay = opt.base_delay;
   nopt.reorder_delay = opt.reorder_delay;
   nopt.seed = opt.seed * 2654435761ULL + static_cast<uint64_t>(opt.family);
   nopt.sender.rx.int_coalesce = opt.int_coalesce;
-  nopt.sender.rx.recorder = sender_rec;
+  nopt.sender.rx.recorder = recorder;
   nopt.sender.rx.per_packet_dispatch = opt.per_packet_dispatch;
   nopt.sender.rx.driver = opt.rx_driver;
   nopt.sender.gro_factory = MakeStandardGroFactory();
   nopt.receiver.rx.int_coalesce = opt.int_coalesce;
-  nopt.receiver.rx.recorder = receiver_rec;
+  nopt.receiver.rx.recorder = recorder;
   nopt.receiver.rx.per_packet_dispatch = opt.per_packet_dispatch;
   nopt.receiver.rx.driver = opt.rx_driver;
   // The hand-off wedge plant targets the receiver: that is where the data
@@ -141,37 +139,28 @@ std::unique_ptr<LinkFlapper> MaybeStartFlapper(const ChaosOptions& opt, EventLoo
   return flapper;
 }
 
-// Overload wiring shared by both execution paths. The differences are the
-// loop/factory (receiver domain vs scenario-wide) and which pools get capped
-// (both domain pools vs the single ambient thread-local pool).
-OverloadWiring MakeOverloadWiring(const ChaosOptions& opt, EventLoop* loop,
-                                  PacketFactory* factory, Host* sender, Host* receiver,
-                                  FaultStage* fault, std::vector<PacketPool*> pools,
-                                  PacketPool* brownout_pool,
-                                  std::function<uint64_t()> executed_events) {
+// Overload wiring: the run's one loop and factory, and the ambient
+// thread-local pool that every packet of the run comes from.
+OverloadWiring MakeOverloadWiring(const ChaosOptions& opt, SimWorld* world, Host* sender,
+                                  Host* receiver, FaultStage* fault) {
   OverloadWiring w;
-  w.loop = loop;
+  w.loop = &world->loop;
   w.inject = receiver->wire_in();
-  w.factory = factory;
+  w.factory = &world->factory;
   w.receiver_nic = receiver->nic_rx();
   w.sender_tx = &sender->nic_tx()->stats();
   w.receiver_tx = &receiver->nic_tx()->stats();
   w.fault = fault != nullptr ? &fault->stats() : nullptr;
-  w.pools = std::move(pools);
-  w.brownout_pool = brownout_pool;
+  w.pool = &PacketPool::ThreadLocal();
   w.target_ip = receiver->ip();
   w.pool_capacity = opt.overload.pool_capacity;
   w.ring_capacity = opt.overload.ring_capacity;
   w.gro_flow_cap = opt.max_flows;
-  w.executed_events = std::move(executed_events);
   return w;
 }
 
-// Per-layer metrics snapshot, taken after the run completes (and, on the
-// sharded path, after the workers have joined — the registry needs no
-// atomics). Everything published here is invariant across worker counts.
-template <typename Testbed>
-void PublishChaosMetrics(const Testbed* t, const EndpointPair* pair, LinkFlapper* flapper,
+// Per-layer metrics snapshot, taken after the run completes.
+void PublishChaosMetrics(const NetFpgaTestbed* t, const EndpointPair* pair, LinkFlapper* flapper,
                          StackKind stack, const AppHarness* app, MetricsRegistry* m) {
   PublishNicRxStats(t->sender->nic_rx()->stats(), "sender", m);
   PublishNicRxStats(t->receiver->nic_rx()->stats(), "receiver", m);
@@ -222,16 +211,14 @@ void PublishChaosMetrics(const Testbed* t, const EndpointPair* pair, LinkFlapper
   }
 }
 
-// Result assembly + digest, identical for both execution paths (the testbed
-// types expose the same member names). Exactly one of `integrity` (raw bulk
-// transfer) and `app` (application workload) is non-null; for app runs the
-// completion oracle is "no request was left hanging" and the auditor's
-// FinalCheck (inside AppHarness::Finish) stands in for the byte total.
-template <typename Testbed>
-void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlapper* flapper,
-               StreamIntegrityChecker* integrity, AppHarness* app, OverloadDriver* ovl,
-               OverloadAuditor* ovl_audit, AuditLog* log, StackKind stack, TimeNs finish_time,
-               ChaosEngineResult* r) {
+// Result assembly + digest. Exactly one of `integrity` (raw bulk transfer)
+// and `app` (application workload) is non-null; for app runs the completion
+// oracle is "no request was left hanging" and the auditor's FinalCheck
+// (inside AppHarness::Finish) stands in for the byte total.
+void FinishRun(const ChaosOptions& opt, const NetFpgaTestbed* t, EndpointPair* pair,
+               LinkFlapper* flapper, StreamIntegrityChecker* integrity, AppHarness* app,
+               OverloadDriver* ovl, OverloadAuditor* ovl_audit, AuditLog* log, StackKind stack,
+               TimeNs finish_time, ChaosEngineResult* r) {
   r->bytes_delivered = pair->b_to_a->bytes_delivered();
   r->finish_time = finish_time;
   if (app != nullptr) {
@@ -318,8 +305,7 @@ void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlap
   }
   // Overload counters join the digest only for overload runs (same gating
   // pattern as the app counters): every pre-overload digest stays
-  // bit-identical, and an overload digest must reproduce across shard
-  // counts. Raw pool lifetime counters stay OUT — the legacy thread-local
+  // bit-identical. Raw pool lifetime counters stay OUT — the thread-local
   // pool accumulates them across in-process runs; only deltas digest.
   if (ovl_audit != nullptr) {
     d.Mix(r->overload.windows_started);
@@ -354,172 +340,6 @@ void FinishRun(const ChaosOptions& opt, Testbed* t, EndpointPair* pair, LinkFlap
   }
 }
 
-// Sharded execution: same scenario, same fault schedule, run on the
-// conservative-lookahead engine with up to opt.shards workers.
-ChaosEngineResult RunOneEngineSharded(const ChaosOptions& opt, StackKind stack) {
-  ChaosEngineResult r;
-  r.engine = EngineName(opt, stack);
-
-  // One flight recorder per shard domain, so workers write without any
-  // synchronization: sender-domain components (NIC, fault stage) record as
-  // shard 0, receiver-domain as shard 1. Declared before the engine so they
-  // outlive everything holding a pointer.
-  std::vector<std::unique_ptr<FlightRecorder>> recorders;
-  if (opt.obs.trace) {
-    recorders.push_back(std::make_unique<FlightRecorder>(0, opt.obs.trace_capacity));
-    recorders.push_back(std::make_unique<FlightRecorder>(1, opt.obs.trace_capacity));
-  }
-  FlightRecorder* sender_rec = opt.obs.trace ? recorders[0].get() : nullptr;
-  FlightRecorder* receiver_rec = opt.obs.trace ? recorders[1].get() : nullptr;
-
-  AuditLog log;
-  NetFpgaOptions nopt = ChaosTestbedOptions(opt, stack, &log, sender_rec, receiver_rec);
-
-  // Declared before the testbed: the fabric's teardown releases packets
-  // back into the engine's domain pools.
-  ShardedEngine engine(opt.shards);
-  engine.set_mailbox_capacity(opt.shard_mailbox_capacity);
-  CpuCostModel costs;
-  // Held in an optional so overload runs can tear the fabric down early and
-  // measure leaked packets while the engine (and its pools) still live.
-  std::optional<ShardedNetFpgaTestbed> t_opt(BuildShardedNetFpga(&engine, &costs, nopt));
-  ShardedNetFpgaTestbed& t = *t_opt;
-  if (t.fault != nullptr) {
-    t.fault->set_recorder(sender_rec);  // the fault stage runs sender-side
-  }
-
-  std::unique_ptr<LinkFlapper> flapper =
-      MaybeStartFlapper(opt, &t.sender_domain->loop(), t.fwd_link);
-
-  std::unique_ptr<OverloadDriver> ovl;
-  std::unique_ptr<OverloadAuditor> ovl_audit;
-  if (opt.overload.enabled()) {
-    CheckLinksBounded({t.fwd_link, t.rev_link}, r.engine, &log);
-    ShardedEngine* eng = &engine;
-    OverloadWiring w = MakeOverloadWiring(
-        opt, &t.receiver_domain->loop(), &t.receiver_domain->factory(), t.sender, t.receiver,
-        t.fault, {&t.sender_domain->pool(), &t.receiver_domain->pool()},
-        &t.receiver_domain->pool(), [eng] {
-          uint64_t total = 0;
-          for (size_t i = 0; i < eng->domain_count(); ++i) {
-            total += eng->domain(i)->executed_events();
-          }
-          return total;
-        });
-    ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
-    ovl->Start();
-    ovl_audit =
-        std::make_unique<OverloadAuditor>(r.engine + "/overload", w, opt.overload.windows, &log);
-  }
-
-  // Setup-phase sends (connection setup, the initial congestion window)
-  // execute synchronously on this thread, before any worker runs. Stamp
-  // their allocations with a domain pool for the duration: an unstamped
-  // packet released later on a worker would bump that domain pool's release
-  // ledger with no matching acquire, skewing the occupancy view the
-  // overload capacity caps key off.
-  struct PoolStamp {
-    PacketPool* prev;
-    explicit PoolStamp(PacketPool* pool) : prev(PacketPool::SwapThreadPool(pool)) {}
-    ~PoolStamp() { PacketPool::SwapThreadPool(prev); }
-  };
-
-  std::unique_ptr<StreamIntegrityChecker> integrity;
-  std::unique_ptr<AppHarness> app;
-  EndpointPair pair;
-  TimeNs now = 0;
-  if (opt.app.enabled()) {
-    AppHarnessWiring wiring;
-    wiring.a = t.sender;
-    wiring.b = t.receiver;
-    wiring.a_loop = &t.sender_domain->loop();
-    wiring.b_loop = &t.receiver_domain->loop();
-    wiring.a_rec = sender_rec;
-    wiring.b_rec = receiver_rec;
-    wiring.log = &log;
-    wiring.name = r.engine;
-    {
-      PoolStamp stamp(&t.sender_domain->pool());
-      app = std::make_unique<AppHarness>(opt.app, wiring, opt.seed * 1000003ULL + 7);
-      pair = app->primary();
-      app->Start();
-    }
-    while (now < opt.time_limit && !app->Done()) {
-      now += Ms(10);
-      engine.Run(now);
-      if (ovl_audit != nullptr) {
-        ovl_audit->Probe(now, pair.b_to_a->bytes_delivered());
-      }
-    }
-  } else {
-    {
-      PoolStamp stamp(&t.sender_domain->pool());
-      pair = ConnectHosts(t.sender, t.receiver, 1000, 2000);
-      integrity = std::make_unique<StreamIntegrityChecker>(r.engine + "/stream", &log);
-      integrity->Attach(pair.b_to_a);
-      integrity->set_expected_bytes(opt.transfer_bytes);
-      pair.a_to_b->Send(opt.transfer_bytes);
-    }
-    while (now < opt.time_limit && pair.b_to_a->bytes_delivered() < opt.transfer_bytes) {
-      now += Ms(10);
-      engine.Run(now);
-      if (ovl_audit != nullptr) {
-        ovl_audit->Probe(now, pair.b_to_a->bytes_delivered());
-      }
-    }
-  }
-  // Let the tail drain (final ACKs, pending GRO flushes, late duplicates).
-  // If the workload finished while overload windows were still open, keep
-  // running until the last window closes and its flush timers fire — the
-  // auditor's quiescence invariants only hold after pressure ends.
-  now += Ms(5);
-  if (ovl != nullptr) {
-    now = std::max(now, ovl->pressure_end() + Ms(5));
-  }
-  engine.Run(now);
-
-  FinishRun(opt, &t, &pair, flapper.get(), integrity.get(), app.get(), ovl.get(),
-            ovl_audit.get(), &log, stack, now, &r);
-
-  const ShardedEngineStats& es = engine.stats();
-  r.shard_workers = es.workers;
-  r.shard_windows = es.windows;
-  r.shard_crossings = es.crossings;
-  r.shard_barrier_wait_ns = es.barrier_wait_ns;
-  r.shard_mailbox_hwm = es.mailbox_high_watermark;
-  r.shard_mailbox_overflows = es.mailbox_overflow_drops;
-  for (size_t i = 0; i < engine.domain_count(); ++i) {
-    r.shard_names.push_back(engine.domain(i)->name());
-    r.shard_events.push_back(engine.domain(i)->executed_events());
-  }
-  if (opt.obs.metrics) {
-    PublishShardedEngineStats(&engine, &r.obs.metrics);
-  }
-  if (opt.obs.trace) {
-    std::vector<const FlightRecorder*> recs;
-    for (const auto& rec : recorders) {
-      recs.push_back(rec.get());
-      r.obs.trace_dropped += rec->dropped();
-    }
-    r.obs.events = MergeTraces(recs);
-  }
-  // The no-leak proof: destroy everything that can hold a packet (fabric
-  // teardown returns link/ring/GRO-held storage; ReleaseResidualPackets
-  // frees mailbox contents and timer-riding packets), then any outstanding
-  // remainder across the domain pools is storage the stack lost track of.
-  if (ovl_audit != nullptr) {
-    ovl->Teardown();
-    app.reset();
-    integrity.reset();
-    flapper.reset();
-    pair = EndpointPair{};
-    t_opt.reset();
-    engine.ReleaseResidualPackets();
-    r.overload_pool_leaked = static_cast<int64_t>(ovl_audit->MeasureLeakedPackets());
-  }
-  return r;
-}
-
 }  // namespace
 
 // Satellite of the overload family: a run that applies overload pressure
@@ -541,13 +361,10 @@ ChaosEngineResult RunChaosEngine(const ChaosOptions& opt, bool use_juggler) {
 }
 
 ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) {
-  if (opt.shards >= 1) {
-    return RunOneEngineSharded(opt, stack);
-  }
   ChaosEngineResult r;
   r.engine = EngineName(opt, stack);
 
-  // Legacy single-loop execution: one recorder (shard 0) covers everything.
+  // One recorder (shard 0) covers everything.
   std::unique_ptr<FlightRecorder> recorder;
   if (opt.obs.trace) {
     recorder = std::make_unique<FlightRecorder>(0, opt.obs.trace_capacity);
@@ -555,28 +372,25 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
 
   SimWorld world;
   AuditLog log;
-  NetFpgaOptions nopt =
-      ChaosTestbedOptions(opt, stack, &log, recorder.get(), recorder.get());
+  NetFpgaOptions nopt = ChaosTestbedOptions(opt, stack, &log, recorder.get());
 
-  NetFpgaTestbed t = BuildNetFpga(&world, nopt);
+  // Held in an optional so overload runs can tear the fabric down before
+  // measuring leaked packets.
+  std::optional<NetFpgaTestbed> t_opt(BuildNetFpga(&world, nopt));
+  NetFpgaTestbed& t = *t_opt;
   if (t.fault != nullptr) {
     t.fault->set_recorder(recorder.get());
   }
 
-  std::unique_ptr<LinkFlapper> flapper =
-      MaybeStartFlapper(opt, &world.loop, t.fwd_link);
+  std::unique_ptr<LinkFlapper> flapper = MaybeStartFlapper(opt, &world.loop, t.fwd_link);
 
   std::unique_ptr<OverloadDriver> ovl;
   std::unique_ptr<OverloadAuditor> ovl_audit;
   if (opt.overload.enabled()) {
     CheckLinksBounded({t.fwd_link, t.rev_link}, r.engine, &log);
-    // One ambient thread-local pool serves the whole legacy world; the
-    // driver's Teardown() must restore its capacity — it outlives the run.
-    EventLoop* loop = &world.loop;
-    OverloadWiring w = MakeOverloadWiring(
-        opt, loop, &world.factory, t.sender, t.receiver, t.fault,
-        {&PacketPool::ThreadLocal()}, &PacketPool::ThreadLocal(),
-        [loop] { return loop->executed_events(); });
+    // The ambient thread-local pool serves the whole world; the driver's
+    // Teardown() must restore its capacity — it outlives the run.
+    OverloadWiring w = MakeOverloadWiring(opt, &world, t.sender, t.receiver, t.fault);
     ovl = std::make_unique<OverloadDriver>(opt.overload.windows, w);
     ovl->Start();
     ovl_audit =
@@ -620,8 +434,9 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
     }
   }
   // Let the tail drain (final ACKs, pending GRO flushes, late duplicates).
-  // As on the sharded path: run past the last overload window before the
-  // auditor asserts quiescence.
+  // If the workload finished while overload windows were still open, keep
+  // running until the last window closes and its flush timers fire — the
+  // auditor's quiescence invariants only hold after pressure ends.
   TimeNs drain_until = world.loop.now() + Ms(5);
   if (ovl != nullptr) {
     drain_until = std::max(drain_until, ovl->pressure_end() + Ms(5));
@@ -630,14 +445,23 @@ ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) 
 
   FinishRun(opt, &t, &pair, flapper.get(), integrity.get(), app.get(), ovl.get(),
             ovl_audit.get(), &log, stack, world.loop.now(), &r);
-  if (ovl != nullptr) {
-    // Un-cap the long-lived thread-local pool; the leak measurement stays
-    // sharded-only (the legacy world cannot be torn down before `t` dies).
-    ovl->Teardown();
-  }
   if (opt.obs.trace) {
     r.obs.trace_dropped = recorder->dropped();
     r.obs.events = MergeTraces({recorder.get()});
+  }
+  // The no-leak proof: un-cap the long-lived thread-local pool, destroy
+  // everything that can hold a packet (fabric teardown returns link, ring
+  // and GRO-held storage; the loop shutdown frees timer-riding packets),
+  // then any outstanding remainder is storage the stack lost track of.
+  if (ovl != nullptr) {
+    ovl->Teardown();
+    app.reset();
+    integrity.reset();
+    flapper.reset();
+    pair = EndpointPair{};
+    t_opt.reset();
+    world.loop.Shutdown();
+    r.overload_pool_leaked = static_cast<int64_t>(ovl_audit->MeasureLeakedPackets());
   }
   return r;
 }

@@ -75,15 +75,6 @@ struct ChaosOptions {
   int num_windows = 3;
   // Wrap Juggler in the structural invariant auditor.
   bool audit = true;
-  // Shard-parallel execution. 0 = the legacy single event loop (bit-for-bit
-  // the historical behavior). N >= 1 runs the scenario on the ShardedEngine
-  // with up to N worker threads; every N >= 1 produces byte-identical
-  // digests (the worker count only changes which thread runs which domain),
-  // but sharded digests may differ from shards=0 because mid-pipeline
-  // stages observe clocks shifted by the wire's propagation delay.
-  size_t shards = 0;
-  // Per-(src,dst) shard-mailbox capacity; 0 = ShardMailbox default fuse.
-  size_t shard_mailbox_capacity = 0;
   // Dispatch each NIC poll round to GRO packet-by-packet instead of as one
   // batch (NicRxConfig::per_packet_dispatch, both hosts). Digests must be
   // bit-identical either way — determinism regression tests flip this to
@@ -163,13 +154,13 @@ struct ChaosEngineResult {
   // requests" instead of "all bytes delivered".
   AppStats app;
   // Overload-run observables (all zero when ChaosOptions::overload is off;
-  // when on, these join the digest and must be shard-count invariant).
+  // when on, these join the digest).
   OverloadStats overload;            // driver counters
   uint64_t overload_probes = 0;      // auditor probes taken
   uint64_t overload_peak_pool = 0;   // peak pool occupancy delta observed
   uint64_t overload_pool_exhausted = 0;  // refused allocations (all pools)
   uint64_t overload_ring_drops = 0;      // receiver ring tail drops
-  // Packets still outstanding after full teardown (sharded runs only;
+  // Packets still outstanding after full teardown (overload runs only;
   // -1 = not measured). Zero is the no-leak proof.
   int64_t overload_pool_leaked = -1;
   // FNV-1a over the run's observable counters: same seed + options must
@@ -185,20 +176,8 @@ struct ChaosEngineResult {
   // that equality is the rx-conformance oracle. Deliberately NOT mixed into
   // `digest` so historical digests stay bit-identical.
   uint64_t stream_digest = 0;
-  // Sharded-engine execution detail (all zero/empty when shards == 0).
-  // Deliberately outside the digest: windows and crossings are shard-count
-  // invariant anyway, workers and barrier waits are not meant to be.
-  size_t shard_workers = 0;
-  uint64_t shard_windows = 0;
-  uint64_t shard_crossings = 0;
-  std::vector<std::string> shard_names;           // one per domain
-  std::vector<uint64_t> shard_events;             // executed events per domain
-  std::vector<uint64_t> shard_barrier_wait_ns;    // per worker
-  size_t shard_mailbox_hwm = 0;                   // deepest per-pair buffer
-  uint64_t shard_mailbox_overflows = 0;           // envelopes shed at the fuse
-  // What ObsConfig asked for. Everything here is shard-count invariant
-  // (worker-dependent stats are deliberately excluded) and stays OUT of the
-  // digest — observability must never perturb reproducibility checks.
+  // What ObsConfig asked for. Stays OUT of the digest — observability must
+  // never perturb reproducibility checks.
   ObsReport obs;
 };
 
@@ -237,8 +216,7 @@ ChaosResult RunChaos(const ChaosOptions& options);
 // One engine's half of RunChaos: the bulk transfer (or app workload) under
 // the configured fault schedule, with invariant checking, returning the
 // full per-run result (digest included). The forensics executor calls this
-// directly so it can run the same spec at different shard counts and diff
-// the digests.
+// directly to run one spec against one engine.
 ChaosEngineResult RunChaosEngine(const ChaosOptions& options, bool use_juggler);
 
 // Same run against an arbitrary stack (RunChaosEngine is the kJuggler /

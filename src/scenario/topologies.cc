@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "src/util/logging.h"
-
 namespace juggler {
 namespace {
 
@@ -58,75 +56,6 @@ NetFpgaTestbed BuildNetFpga(SimWorld* world, NetFpgaOptions options) {
   t.fwd_link = fwd_link;
   t.sender = t.fabric.AddHost(world, options.sender, fwd_link);
   to_sender->set_target(t.sender->wire_in());
-  return t;
-}
-
-ShardedNetFpgaTestbed BuildShardedNetFpga(ShardedEngine* engine, const CpuCostModel* costs,
-                                          NetFpgaOptions options) {
-  ShardedNetFpgaTestbed t;
-  JUG_CHECK(options.base_delay > 0);  // it is the engine's lookahead
-
-  t.sender_domain = engine->AddDomain("sender");
-  t.receiver_domain = engine->AddDomain("receiver");
-  EventLoop* sloop = &t.sender_domain->loop();
-  EventLoop* rloop = &t.receiver_domain->loop();
-
-  options.sender.ip = HostIp(0, 0);
-  options.sender.name = "sender";
-  options.receiver.ip = HostIp(1, 0);
-  options.receiver.name = "receiver";
-
-  RemoteEndpoint* fwd_ep =
-      engine->Connect(t.sender_domain, t.receiver_domain, options.base_delay);
-  RemoteEndpoint* rev_ep =
-      engine->Connect(t.receiver_domain, t.sender_domain, options.base_delay);
-
-  // Flight time lives in the crossing, not in a local timer.
-  LinkConfig host_link;
-  host_link.rate_bps = options.link_rate_bps;
-  host_link.propagation_delay = 0;
-  host_link.queue_limit_bytes = options.host_link_queue_bytes;
-
-  // Receiver side and its ACK path back to the (not yet built) sender.
-  Link* rev_link = t.fabric.AddLink(rloop, "rev", host_link, rev_ep);
-  rev_link->set_remote(rev_ep);
-  t.rev_link = rev_link;
-  t.receiver =
-      t.fabric.AddHost(rloop, &t.receiver_domain->factory(), costs, options.receiver, rev_link);
-  fwd_ep->set_sink(t.receiver->wire_in());
-
-  // Forward pipeline, all in the sender domain, same element order and seeds
-  // as BuildNetFpga: fwd_link -> reorder -> (drop) -> (fault) -> crossing ->
-  // receiver NIC. Whichever stage ends the chain delivers through the
-  // remote endpoint.
-  PacketSink* into_receiver = fwd_ep;
-  if (!options.faults.empty()) {
-    t.fault = t.fabric.AddFault(sloop, "fault", options.faults, options.seed * 6151 + 29,
-                                into_receiver);
-    t.fault->set_remote(fwd_ep);
-    into_receiver = t.fault;
-  }
-  if (options.drop_prob > 0.0) {
-    t.fabric.drops.push_back(
-        std::make_unique<DropStage>(options.drop_prob, options.seed * 7919 + 13, into_receiver));
-    t.drop = t.fabric.drops.back().get();
-    if (into_receiver == static_cast<PacketSink*>(fwd_ep)) {
-      t.drop->set_remote(fwd_ep);
-    }
-    into_receiver = t.drop;
-  }
-  t.fabric.reorders.push_back(std::make_unique<ReorderStage>(
-      sloop, std::vector<TimeNs>{0, options.reorder_delay}, options.seed, into_receiver));
-  t.reorder = t.fabric.reorders.back().get();
-  if (into_receiver == static_cast<PacketSink*>(fwd_ep)) {
-    t.reorder->set_remote(fwd_ep);
-  }
-
-  Link* fwd_link = t.fabric.AddLink(sloop, "fwd", host_link, t.reorder);
-  t.fwd_link = fwd_link;
-  t.sender =
-      t.fabric.AddHost(sloop, &t.sender_domain->factory(), costs, options.sender, fwd_link);
-  rev_ep->set_sink(t.sender->wire_in());
   return t;
 }
 
@@ -201,104 +130,6 @@ ClosTestbed BuildClos(SimWorld* world, ClosOptions options) {
   };
   build_side(t.tor_a, 0, &t.left_hosts, spine_to_a);
   build_side(t.tor_b, 1, &t.right_hosts, spine_to_b);
-  return t;
-}
-
-ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* costs,
-                                    ClosOptions options) {
-  ShardedClosTestbed t;
-  JUG_CHECK(options.link_prop > 0);  // it is the engine's lookahead
-
-  ShardDomain* tor_a_dom = engine->AddDomain("tor_a");
-  ShardDomain* tor_b_dom = engine->AddDomain("tor_b");
-  t.domains.push_back(tor_a_dom);
-  t.domains.push_back(tor_b_dom);
-  t.tor_a = t.fabric.AddSwitch("tor_a", options.lb);
-  t.tor_b = t.fabric.AddSwitch("tor_b", options.lb);
-  std::vector<Switch*> spines;
-  std::vector<ShardDomain*> spine_doms;
-  for (size_t s = 0; s < options.num_spines; ++s) {
-    spines.push_back(t.fabric.AddSwitch("spine_" + std::to_string(s), LbPolicy::kEcmp));
-    spine_doms.push_back(engine->AddDomain("spine_" + std::to_string(s)));
-    t.domains.push_back(spine_doms.back());
-  }
-
-  // Every link's far end is in another domain, so every link delivers
-  // through a crossing carrying link_prop; local flight timers are unused.
-  LinkConfig fabric_link;
-  fabric_link.rate_bps = options.fabric_link_rate_bps;
-  fabric_link.propagation_delay = 0;
-  fabric_link.queue_limit_bytes = options.switch_buffer_bytes;
-  fabric_link.red = options.red;
-  fabric_link.red_seed = options.seed * 977 + 5;
-  fabric_link.ecn = options.ecn;
-  fabric_link.ecn_threshold_fill = options.ecn_threshold_fill;
-
-  // A link owned by `src_dom` whose serialized packets cross into `dst_dom`
-  // and land at `target` there.
-  auto add_crossing_link = [&](ShardDomain* src_dom, ShardDomain* dst_dom, std::string name,
-                               const LinkConfig& config, PacketSink* target) {
-    RemoteEndpoint* ep = engine->Connect(src_dom, dst_dom, options.link_prop);
-    ep->set_sink(target);
-    Link* link = t.fabric.AddLink(&src_dom->loop(), std::move(name), config, ep);
-    link->set_remote(ep);
-    return link;
-  };
-
-  // ToR uplinks (in the ToR's domain) and spine downlinks (in the spine's).
-  std::vector<Link*> spine_to_a;
-  std::vector<Link*> spine_to_b;
-  for (size_t s = 0; s < options.num_spines; ++s) {
-    Link* up_a = add_crossing_link(tor_a_dom, spine_doms[s], "torA->spine" + std::to_string(s),
-                                   fabric_link, spines[s]);
-    Link* up_b = add_crossing_link(tor_b_dom, spine_doms[s], "torB->spine" + std::to_string(s),
-                                   fabric_link, spines[s]);
-    t.tor_a->AddUplink(up_a, up_a);
-    t.tor_b->AddUplink(up_b, up_b);
-    t.tor_a_uplinks.push_back(up_a);
-    t.tor_b_uplinks.push_back(up_b);
-    spine_to_a.push_back(add_crossing_link(spine_doms[s], tor_a_dom,
-                                           "spine" + std::to_string(s) + "->torA", fabric_link,
-                                           t.tor_a));
-    spine_to_b.push_back(add_crossing_link(spine_doms[s], tor_b_dom,
-                                           "spine" + std::to_string(s) + "->torB", fabric_link,
-                                           t.tor_b));
-  }
-
-  LinkConfig uplink_cfg;
-  uplink_cfg.rate_bps = options.host_link_rate_bps;
-  uplink_cfg.propagation_delay = 0;
-  uplink_cfg.queue_limit_bytes = options.host_uplink_queue_bytes;
-  LinkConfig downlink_cfg = uplink_cfg;
-  downlink_cfg.queue_limit_bytes = options.switch_buffer_bytes;
-  downlink_cfg.red = options.red;
-  downlink_cfg.red_seed = options.seed * 613 + 3;
-  downlink_cfg.ecn = options.ecn;
-  downlink_cfg.ecn_threshold_fill = options.ecn_threshold_fill;
-
-  auto build_side = [&](Switch* tor, ShardDomain* tor_dom, uint32_t tor_id,
-                        std::vector<Host*>* out, const std::vector<Link*>& spine_down) {
-    for (size_t h = 0; h < options.hosts_per_tor; ++h) {
-      HostConfig hc = options.host_template;
-      hc.ip = HostIp(tor_id, static_cast<uint32_t>(h));
-      hc.name = std::string(tor_id == 0 ? "srv" : "cli") + std::to_string(h);
-      ShardDomain* host_dom = engine->AddDomain(hc.name);
-      t.domains.push_back(host_dom);
-      Link* uplink =
-          add_crossing_link(host_dom, tor_dom, hc.name + "->" + tor->name(), uplink_cfg, tor);
-      Host* host =
-          t.fabric.AddHost(&host_dom->loop(), &host_dom->factory(), costs, hc, uplink);
-      Link* downlink = add_crossing_link(tor_dom, host_dom, tor->name() + "->" + hc.name,
-                                         downlink_cfg, host->wire_in());
-      tor->AddRoute(hc.ip, downlink);
-      for (size_t s = 0; s < spine_down.size(); ++s) {
-        spines[s]->AddRoute(hc.ip, spine_down[s]);
-      }
-      out->push_back(host);
-    }
-  };
-  build_side(t.tor_a, tor_a_dom, 0, &t.left_hosts, spine_to_a);
-  build_side(t.tor_b, tor_b_dom, 1, &t.right_hosts, spine_to_b);
   return t;
 }
 

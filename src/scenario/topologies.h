@@ -24,7 +24,6 @@
 #include "src/net/switch.h"
 #include "src/scenario/host.h"
 #include "src/sim/event_loop.h"
-#include "src/sim/sharded_engine.h"
 
 namespace juggler {
 
@@ -67,13 +66,6 @@ struct Fabric {
         std::make_unique<Host>(&world->loop, &world->factory, &world->costs, config, wire_out));
     return hosts.back().get();
   }
-  // Sharded variant: the host runs on a shard domain's loop and factory
-  // instead of a scenario-wide SimWorld's.
-  Host* AddHost(EventLoop* loop, PacketFactory* factory, const CpuCostModel* costs,
-                const HostConfig& config, PacketSink* wire_out) {
-    hosts.push_back(std::make_unique<Host>(loop, factory, costs, config, wire_out));
-    return hosts.back().get();
-  }
 };
 
 // ---------------------------------------------------------------- NetFPGA --
@@ -110,29 +102,6 @@ struct NetFpgaTestbed {
 
 NetFpgaTestbed BuildNetFpga(SimWorld* world, NetFpgaOptions options);
 
-// The same testbed partitioned into two shard domains (sender side, receiver
-// side) for the ShardedEngine. Element order, seeds and packet arrival times
-// at either NIC match BuildNetFpga exactly; the wire's propagation delay is
-// carried by the cross-domain crossing instead of a local flight timer, so
-// the mid-pipeline stages run `base_delay` earlier on their local clocks.
-// `engine` and `costs` must outlive the returned testbed (declare them
-// first: the fabric's teardown releases packets into the engine's pools).
-struct ShardedNetFpgaTestbed {
-  Fabric fabric;
-  ShardDomain* sender_domain = nullptr;
-  ShardDomain* receiver_domain = nullptr;
-  Host* sender = nullptr;
-  Host* receiver = nullptr;
-  DropStage* drop = nullptr;
-  ReorderStage* reorder = nullptr;
-  FaultStage* fault = nullptr;
-  Link* fwd_link = nullptr;
-  Link* rev_link = nullptr;
-};
-
-ShardedNetFpgaTestbed BuildShardedNetFpga(ShardedEngine* engine, const CpuCostModel* costs,
-                                          NetFpgaOptions options);
-
 // ------------------------------------------------------------------- Clos --
 
 struct ClosOptions {
@@ -168,27 +137,6 @@ struct ClosTestbed {
 };
 
 ClosTestbed BuildClos(SimWorld* world, ClosOptions options);
-
-// The Clos fabric partitioned one-domain-per-host plus one domain per
-// switch (each switch is pinned with its outbound links, which it drives
-// synchronously). Every link whose far end lives in another domain crosses
-// through a mailbox with latency = link_prop, so the engine's lookahead is
-// the fabric's propagation delay. `engine` and `costs` must outlive the
-// returned testbed.
-struct ShardedClosTestbed {
-  Fabric fabric;
-  std::vector<Host*> left_hosts;
-  std::vector<Host*> right_hosts;
-  Switch* tor_a = nullptr;
-  Switch* tor_b = nullptr;
-  std::vector<Link*> tor_a_uplinks;
-  std::vector<Link*> tor_b_uplinks;
-  // Domains: [tor_a, tor_b, spines..., left hosts..., right hosts...].
-  std::vector<ShardDomain*> domains;
-};
-
-ShardedClosTestbed BuildShardedClos(ShardedEngine* engine, const CpuCostModel* costs,
-                                    ClosOptions options);
 
 // --------------------------------------------------------------- Dumbbell --
 

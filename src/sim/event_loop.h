@@ -138,16 +138,15 @@ class EventLoop {
   // Timestamp of the earliest live (not cancelled) pending event, or
   // kNoEvent when the queue is empty. Drains the staging array, prunes dead
   // entries and cascades wheel buckets as a side effect, so repeated calls
-  // stay O(1) amortised. The sharded engine polls this between lookahead
-  // windows to size the next window.
+  // stay O(1) amortised.
   static constexpr TimeNs kNoEvent = INT64_MAX;
   TimeNs next_event_time();
 
   // Drops every pending event and live timer, freeing captured resources
   // (packets riding timers) immediately. now() is unchanged. Used by owners
-  // that must tear down multiple interlinked loops in a controlled order —
-  // the sharded engine releases all in-flight packets back to their origin
-  // pools before any pool is destroyed.
+  // that must release every in-flight packet at a controlled point — the
+  // chaos harness shuts the loop down after tearing down the testbed, then
+  // counts any packet still outstanding in the pool as leaked.
   void Shutdown();
 
   // Run until the event queue drains.

@@ -35,8 +35,8 @@ size_t SweepWorkerCount(size_t num_points, size_t num_threads);
 // Runs `point_fn(i)` for i in [0, num_points) across `num_threads` workers
 // (0 = one per budgeted thread) and returns the results indexed by point.
 // The worker count is drawn from the shared ThreadBudget, so a sweep whose
-// points themselves run sharded scenarios degrades to fewer inner workers
-// instead of oversubscribing. `point_fn` must be callable concurrently from
+// points themselves run sweeps degrades to fewer inner workers instead of
+// oversubscribing. `point_fn` must be callable concurrently from
 // multiple threads; the calling thread is worker 0, so with one worker
 // everything runs inline.
 template <typename PointFn>

@@ -2,10 +2,10 @@
 //
 // A fuzzed scenario can do anything — violate an invariant (detected,
 // reported), trip a JUG_CHECK (SIGABRT), corrupt memory (sanitizer abort),
-// or wedge a barrier in the sharded engine (hang forever). The supervisor
-// therefore never runs a candidate scenario in its own process: it forks,
-// runs the scenario in the child, and enforces a *wall-clock* watchdog —
-// SIGKILL, not a polite signal, because a wedged std::barrier ignores polite.
+// or wedge in an endless loop (hang forever). The supervisor therefore never
+// runs a candidate scenario in its own process: it forks, runs the scenario
+// in the child, and enforces a *wall-clock* watchdog — SIGKILL, not a polite
+// signal, because a wedged child need not honor a polite one.
 //
 // The child reports structured results over a dedicated pipe (`report_fd`),
 // separate from stderr, which is captured too: sanitizer reports and

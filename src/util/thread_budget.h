@@ -1,11 +1,11 @@
 // Process-wide worker-thread budget.
 //
 // Every component that spins up worker threads — the sweep runner fanning
-// out independent simulation points, the sharded engine fanning one large
-// scenario across cores — draws from this one budget, so a chaos soak that
-// runs parallel sweeps *of* sharded scenarios degrades gracefully instead of
-// oversubscribing the machine: the outer layer takes what it needs, inner
-// layers see what is left (never less than their own calling thread).
+// out independent simulation points — draws from this one budget, so nested
+// parallel sweeps degrade gracefully instead of oversubscribing the machine:
+// the outer layer takes what it needs, inner layers see what is left (never
+// less than their own calling thread). Each simulation point itself runs on
+// one thread.
 //
 // The total is `JUGGLER_THREADS` when set (>=1), else the hardware
 // concurrency. Acquire/Release count *concurrently executing* workers: a

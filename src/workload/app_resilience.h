@@ -19,10 +19,9 @@
 //     channel StreamIntegrityChecker uses, so the chaos/fuzz machinery
 //     treats app-level bugs exactly like byte-stream bugs.
 //
-// Everything is deterministic given a seed; under the sharded engine the
-// client and server sides run in different shard domains, so the auditor is
-// mutex protected (all of its updates commute — per-token and per-request
-// counts — which keeps digests shard-count invariant).
+// Everything is deterministic given a seed. The auditor is mutex protected,
+// and all of its updates commute (per-token and per-request counts), so the
+// order they arrive in never reaches a digest.
 
 #ifndef JUGGLER_SRC_WORKLOAD_APP_RESILIENCE_H_
 #define JUGGLER_SRC_WORKLOAD_APP_RESILIENCE_H_

@@ -10,10 +10,9 @@
 // sequence — the ledger behaves like a lossless FIFO header channel riding
 // the (possibly retransmitted, reordered, faulted) wire.
 //
-// Thread safety: under the sharded engine the sending side and the
-// delivering side live in different shard domains, so the ledger is mutex
-// protected. Determinism is unaffected — pops are driven by the delivery
-// total, which is causally ordered by the TCP stream itself.
+// Thread safety: the ledger is mutex protected. Determinism is unaffected —
+// pops are driven by the delivery total, which is causally ordered by the
+// TCP stream itself.
 
 #ifndef JUGGLER_SRC_WORKLOAD_FRAME_CHANNEL_H_
 #define JUGGLER_SRC_WORKLOAD_FRAME_CHANNEL_H_

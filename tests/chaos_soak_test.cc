@@ -3,18 +3,21 @@
 // Each test drives the same bulk transfer through Juggler (with structural
 // invariant auditing) and through standard GRO under one fault family, over
 // several seeds, and requires: both transfers complete, zero invariant
-// violations, and byte-identical delivered streams. A final test pins the
-// determinism contract: the same seed must reproduce a bit-identical run.
+// violations, and byte-identical delivered streams. The determinism tests
+// pin the contract that the same seed reproduces a bit-identical run —
+// across reruns, sweep threads and GRO dispatch modes.
 //
 // The 20-seed-per-family acceptance soak lives in bench/chaos_soak; these
 // tests keep a representative slice of it in the default `ctest` run.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "src/scenario/chaos_scenario.h"
 #include "src/sim/sweep_runner.h"
+#include "src/util/thread_budget.h"
 
 namespace juggler {
 namespace {
@@ -111,6 +114,42 @@ TEST(ChaosSoakTest, DigestsIdenticalAcrossSweepThreads) {
     EXPECT_EQ(sequential[i].juggler.finish_time, threaded[i].juggler.finish_time)
         << FaultFamilyName(families[i]);
   }
+}
+
+// Batch-dispatch determinism: handing a poll round to GRO as one
+// ReceiveBatch (the production path, with fold short-cuts) must be
+// observably identical to the packet-by-packet reference loop — byte-equal
+// digests for both engines under a reordering-heavy fault mix. Any fold
+// that changes a flush decision, a stat, or a cost shows up here as a
+// digest split.
+TEST(ChaosSoakTest, DigestInvariantUnderPerPacketDispatch) {
+  ChaosOptions opt;
+  opt.family = FaultFamily::kMixed;
+  opt.seed = 11;
+  opt.per_packet_dispatch = false;
+  const ChaosResult batched = RunChaos(opt);
+  EXPECT_TRUE(batched.ok) << "batched";
+  opt.per_packet_dispatch = true;
+  const ChaosResult per_packet = RunChaos(opt);
+  EXPECT_TRUE(per_packet.ok) << "per-packet";
+  EXPECT_EQ(batched.juggler.digest, per_packet.juggler.digest) << "juggler batched vs per-packet";
+  EXPECT_EQ(batched.baseline.digest, per_packet.baseline.digest)
+      << "baseline batched vs per-packet";
+}
+
+TEST(ThreadBudgetTest, EnvOverrideAndNestedDegradation) {
+  setenv("JUGGLER_THREADS", "3", 1);
+  EXPECT_EQ(ThreadBudget::Total(), 3u);
+  const size_t outer = ThreadBudget::Acquire(5);
+  EXPECT_EQ(outer, 3u);
+  // Budget exhausted: an inner layer still gets its own calling thread.
+  const size_t inner = ThreadBudget::Acquire(4);
+  EXPECT_EQ(inner, 1u);
+  ThreadBudget::Release(inner);
+  ThreadBudget::Release(outer);
+  EXPECT_EQ(ThreadBudget::InUse(), 0u);
+  unsetenv("JUGGLER_THREADS");
+  EXPECT_GE(ThreadBudget::Total(), 1u);
 }
 
 TEST(ChaosSoakTest, DifferentSeedsDifferentFaultPatterns) {

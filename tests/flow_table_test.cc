@@ -250,9 +250,9 @@ TEST(FlowTableTest, HotSetSurvivesChurnFloodAfterFirstSweepTransient) {
 }
 
 // Overload satellite: eviction must be deterministic — two tables fed the
-// identical operation sequence yield the identical victim sequence. The
-// sharded engine's digest invariance rests on this: under brown-out cap
-// pressure every shard must pick the same victims at the same points.
+// identical operation sequence yield the identical victim sequence. Overload
+// digests rest on this: under brown-out cap pressure a rerun must pick the
+// same victims at the same points.
 TEST(FlowTableTest, VictimOrderIsDeterministicAcrossInstances) {
   auto run = [] {
     FlowTable<int> table;

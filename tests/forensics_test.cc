@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 
 #include "src/forensics/failure_signature.h"
@@ -227,6 +228,64 @@ TEST(ScenarioSpecTest, UnknownFieldsArePreservedByteStably) {
   ASSERT_TRUE(Json::Parse(once, &reparsed, &error)) << error;
   ASSERT_TRUE(ScenarioSpec::FromJson(reparsed, &again, &error)) << error;
   EXPECT_EQ(again.ToJson().Dump(2), once);
+}
+
+// Repro bundles from builds that still had the sharded engine carry three
+// execution-shape keys in the middle of the spec. They must still parse,
+// leave the run unchanged, and survive re-serialization through `extra`
+// with their values intact, re-serialization being a fixed point.
+TEST(ScenarioSpecTest, RetiredShardKeysStillParseAndRoundTrip) {
+  ScenarioSpec spec;
+  spec.seed = 5;
+  const Json current_doc = spec.ToJson();
+  Json old_doc = Json::Object();
+  for (const auto& member : current_doc.members()) {
+    old_doc.Set(member.first, member.second);
+    if (member.first == "max_flows") {  // where older builds emitted them
+      old_doc.Set("shards", Json::Uint(2));
+      old_doc.Set("shard_mailbox_capacity", Json::Uint(16));
+      old_doc.Set("check_shard_divergence", Json::Bool(true));
+    }
+  }
+
+  ScenarioSpec back;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::FromJson(old_doc, &back, &error)) << error;
+  ASSERT_NE(back.extra.Find("shards"), nullptr);
+  EXPECT_EQ(back.extra.Find("shards")->AsUint(), 2u);
+  ASSERT_NE(back.extra.Find("shard_mailbox_capacity"), nullptr);
+  EXPECT_EQ(back.extra.Find("shard_mailbox_capacity")->AsUint(), 16u);
+  bool divergence = false;
+  EXPECT_TRUE(back.extra.GetBool("check_shard_divergence", &divergence));
+  EXPECT_TRUE(divergence);
+  ScenarioSpec known_only = back;
+  known_only.extra = Json::Object();
+  EXPECT_EQ(known_only.ToJson().Dump(2), current_doc.Dump(2))
+      << "retired keys must not change any run-shaping field";
+
+  const std::string once = back.ToJson().Dump(2);
+  Json reparsed;
+  ScenarioSpec again;
+  ASSERT_TRUE(Json::Parse(once, &reparsed, &error)) << error;
+  ASSERT_TRUE(ScenarioSpec::FromJson(reparsed, &again, &error)) << error;
+  EXPECT_EQ(again.ToJson().Dump(2), once);
+}
+
+// The sampler still consumes the main-stream draws the retired shard-count
+// and shard-divergence knobs used, so a pinned fuzz seed samples the same
+// specs it always did. Each spec's seed is drawn first, after every draw the
+// previous spec made; dropping a draw shifts all of these.
+TEST(ScenarioSpecTest, SamplerKeepsPinnedSeedSequence) {
+  constexpr uint64_t kPinned[] = {
+      0xb358faf74ef9765aULL, 0xf0600caa8d7589d1ULL, 0x47f4a13a670d89aaULL,
+      0xeb246dd0cc16bcbeULL, 0xbe7d65e36039b192ULL, 0x837389f54419c77eULL,
+      0x645a3a210b1bb4a0ULL, 0x4152ebd2c8af508aULL,
+  };
+  Rng rng(7);
+  const SampleLimits limits;
+  for (size_t i = 0; i < std::size(kPinned); ++i) {
+    EXPECT_EQ(SampleScenarioSpec(&rng, limits).seed, kPinned[i]) << "spec " << i;
+  }
 }
 
 // ----------------------------------------------------------- Signatures --

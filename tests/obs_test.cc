@@ -1,9 +1,8 @@
 // Observability tests: the metrics registry and flight recorder in
-// isolation, then the end-to-end determinism properties the tentpole
-// promises — metrics and traces byte-identical across --shards={1,2,8},
-// a checked-in golden trace for the Fig. 12/13 coalescing-timeout
-// scenario, and the mailbox-pressure regression (overflow drops routed
-// through the registry so repro bundles capture them).
+// isolation, then the end-to-end determinism properties — metrics and
+// traces byte-identical across reruns of the same seed, and checked-in
+// golden traces for the Fig. 12/13 coalescing-timeout scenario and the
+// COREC hand-off.
 
 #include <cstdlib>
 #include <fstream>
@@ -53,19 +52,19 @@ TEST(MetricsRegistryTest, CountersGaugesAndMerge) {
   MetricsRegistry a;
   a.AddCounter("gro.flush", "juggler/size_limit", 3);
   a.AddCounter("gro.flush", "juggler/size_limit", 2);
-  a.SetGauge("sim.lookahead_ns", "", 10);
-  a.MaxGauge("sim.mailbox_high_watermark", "", 4);
-  a.MaxGauge("sim.mailbox_high_watermark", "", 2);  // lower: ignored
+  a.SetGauge("sim.pending_events", "", 10);
+  a.MaxGauge("nic.ring_high_watermark", "", 4);
+  a.MaxGauge("nic.ring_high_watermark", "", 2);  // lower: ignored
   EXPECT_EQ(a.CounterValue("gro.flush", "juggler/size_limit"), 5u);
-  EXPECT_EQ(a.GaugeValue("sim.mailbox_high_watermark", ""), 4u);
+  EXPECT_EQ(a.GaugeValue("nic.ring_high_watermark", ""), 4u);
   EXPECT_EQ(a.CounterValue("gro.flush", "missing", 77), 77u);
 
   MetricsRegistry b;
   b.AddCounter("gro.flush", "juggler/size_limit", 10);
-  b.MaxGauge("sim.mailbox_high_watermark", "", 9);
+  b.MaxGauge("nic.ring_high_watermark", "", 9);
   a.MergeFrom(b);
   EXPECT_EQ(a.CounterValue("gro.flush", "juggler/size_limit"), 15u);
-  EXPECT_EQ(a.GaugeValue("sim.mailbox_high_watermark", ""), 9u);
+  EXPECT_EQ(a.GaugeValue("nic.ring_high_watermark", ""), 9u);
 }
 
 TEST(MetricsRegistryTest, JsonIsDeterministicAndOrdered) {
@@ -123,39 +122,37 @@ TEST(FlightRecorderTest, MergeSortsByTimeShardSeq) {
   }
 }
 
-// ----------------------------------------------------- shard determinism --
+// ------------------------------------------------------- run determinism --
 
-ChaosOptions ObsChaosOptions(size_t shards) {
+ChaosOptions ObsChaosOptions() {
   ChaosOptions opt;
   opt.seed = 7;
   opt.family = FaultFamily::kDelaySpike;
   opt.transfer_bytes = 400'000;
-  opt.shards = shards;
   opt.obs.metrics = true;
   opt.obs.trace = true;
   return opt;
 }
 
+// The run collects a non-empty metrics snapshot and trace, and a rerun of
+// the same seed reproduces both byte for byte.
 TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
-  const ChaosEngineResult one = RunChaosEngine(ObsChaosOptions(1), /*use_juggler=*/true);
+  const ChaosEngineResult one = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
   ASSERT_TRUE(one.completed);
   ASSERT_FALSE(one.obs.metrics.empty());
   ASSERT_FALSE(one.obs.events.empty());
-  const std::string metrics1 = one.obs.MetricsJson().Dump(1);
-  const std::string trace1 = one.obs.TraceJson(ChaosTraceNamer()).Dump(1);
 
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(shards), /*use_juggler=*/true);
-    EXPECT_EQ(r.digest, one.digest) << "digest diverged at shards=" << shards;
-    EXPECT_EQ(r.obs.MetricsJson().Dump(1), metrics1)
-        << "metrics JSON not byte-identical at shards=" << shards;
-    EXPECT_EQ(r.obs.TraceJson(ChaosTraceNamer()).Dump(1), trace1)
-        << "trace JSON not byte-identical at shards=" << shards;
-  }
+  const ChaosEngineResult again = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
+  EXPECT_EQ(again.digest, one.digest);
+  EXPECT_EQ(again.obs.MetricsJson().Dump(1), one.obs.MetricsJson().Dump(1))
+      << "metrics JSON not byte-identical across reruns";
+  EXPECT_EQ(again.obs.TraceJson(ChaosTraceNamer()).Dump(1),
+            one.obs.TraceJson(ChaosTraceNamer()).Dump(1))
+      << "trace JSON not byte-identical across reruns";
 }
 
 TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(2), /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
   ASSERT_GT(r.obs.events.size(), 1u);
   for (size_t i = 1; i < r.obs.events.size(); ++i) {
     const TraceEvent& p = r.obs.events[i - 1];
@@ -167,36 +164,11 @@ TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
 }
 
 TEST(ObsDeterminismTest, LegacyEngineCollectsObsToo) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(0), /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
   EXPECT_TRUE(r.obs.metrics_enabled);
   EXPECT_TRUE(r.obs.trace_enabled);
   EXPECT_FALSE(r.obs.metrics.empty());
   EXPECT_FALSE(r.obs.events.empty());
-}
-
-// ------------------------------------------------------- mailbox pressure --
-
-TEST(ObsDeterminismTest, MailboxPressureRoutedThroughRegistry) {
-  // A deliberately tiny inter-shard mailbox: the fuse sheds envelopes, and
-  // BOTH the raw result fields and the published metrics must agree on how
-  // many — this is the counter repro bundles pick up.
-  ChaosOptions opt = ObsChaosOptions(2);
-  opt.transfer_bytes = 200'000;
-  opt.shard_mailbox_capacity = 2;
-  const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
-  EXPECT_GT(r.shard_mailbox_overflows, 0u) << "capacity 2 should overflow";
-  EXPECT_EQ(r.obs.metrics.CounterValue("sim.mailbox_overflow_drops", ""),
-            r.shard_mailbox_overflows);
-  EXPECT_EQ(r.obs.metrics.GaugeValue("sim.mailbox_high_watermark", ""),
-            static_cast<uint64_t>(r.shard_mailbox_hwm));
-
-  // And with a sane fuse the high-watermark is nonzero while overflows stay
-  // zero — the gauge is live, not a constant.
-  ChaosOptions sane = ObsChaosOptions(2);
-  sane.transfer_bytes = 200'000;
-  const ChaosEngineResult ok = RunChaosEngine(sane, /*use_juggler=*/true);
-  EXPECT_EQ(ok.obs.metrics.CounterValue("sim.mailbox_overflow_drops", ""), 0u);
-  EXPECT_GT(ok.obs.metrics.GaugeValue("sim.mailbox_high_watermark", ""), 0u);
 }
 
 // ------------------------------------------------------------ golden trace --
@@ -381,9 +353,9 @@ TEST(GoldenTraceTest, CorecScenarioEmitsClaimCommitStallHandoff) {
 
 TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   // The COREC claim/commit/hand-off counters join the metrics registry only:
-  // byte-identical across shard counts, and collecting them never moves the
-  // run digest (obs must not perturb reproducibility).
-  ChaosOptions opt = ObsChaosOptions(1);
+  // collecting them never moves the run digest (obs must not perturb
+  // reproducibility).
+  ChaosOptions opt = ObsChaosOptions();
   opt.rx_driver = RxDriverKind::kCorec;
   const ChaosEngineResult one = RunChaosEngine(opt, /*use_juggler=*/true);
   ASSERT_TRUE(one.completed);
@@ -392,16 +364,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
       << "COREC families missing from the published metrics";
   EXPECT_GT(one.obs.metrics.CounterValue("nic.corec_handoff_runs", "receiver"), 0u);
 
-  for (size_t shards : {size_t{2}, size_t{8}}) {
-    ChaosOptions o = ObsChaosOptions(shards);
-    o.rx_driver = RxDriverKind::kCorec;
-    const ChaosEngineResult r = RunChaosEngine(o, /*use_juggler=*/true);
-    EXPECT_EQ(r.digest, one.digest) << "digest diverged at shards=" << shards;
-    EXPECT_EQ(r.obs.MetricsJson().Dump(1), metrics1)
-        << "COREC metrics not byte-identical at shards=" << shards;
-  }
-
-  ChaosOptions dark = ObsChaosOptions(1);
+  ChaosOptions dark = ObsChaosOptions();
   dark.rx_driver = RxDriverKind::kCorec;
   dark.obs = ObsConfig{};  // metrics + trace off
   const ChaosEngineResult no_obs = RunChaosEngine(dark, /*use_juggler=*/true);

@@ -10,9 +10,9 @@
 //     refusals" is the conservation proof);
 //   * the stack recovers after pressure ends (occupancy back under the
 //     watermark, gro_table drained, throughput restored) and leaks nothing
-//     (sharded teardown measures outstanding pool packets exactly);
-//   * every overload scenario is deterministic and shard-invariant: the
-//     digest is byte-identical for any worker count N >= 1.
+//     (full teardown measures outstanding pool packets exactly);
+//   * every overload scenario is deterministic: the same options reproduce
+//     a byte-identical digest.
 
 #include <gtest/gtest.h>
 
@@ -38,12 +38,11 @@ namespace {
 // One pressure window riding a bulk transfer — the shape every chaos-level
 // test here starts from. Kept identical across tests so digests computed in
 // different tests cross-check each other.
-ChaosOptions BaseOverloadOptions(OverloadKind kind, size_t shards, size_t pool_cap = 4'096) {
+ChaosOptions BaseOverloadOptions(OverloadKind kind, size_t pool_cap = 4'096) {
   ChaosOptions opt;
   opt.seed = 1;
   opt.family = FaultFamily::kDropBurst;
   opt.transfer_bytes = 1'500'000;
-  opt.shards = shards;
   opt.overload.pool_capacity = pool_cap;
   OverloadWindow w;
   w.kind = kind;
@@ -66,7 +65,7 @@ constexpr OverloadKind kAllKinds[] = {OverloadKind::kIncast, OverloadKind::kChur
 TEST(OverloadChaosTest, StackMatrixSurvivesEveryPressureKind) {
   for (StackKind stack : {StackKind::kJuggler, StackKind::kVanilla, StackKind::kPresto}) {
     for (OverloadKind kind : kAllKinds) {
-      const ChaosOptions opt = BaseOverloadOptions(kind, /*shards=*/0);
+      const ChaosOptions opt = BaseOverloadOptions(kind);
       const ChaosEngineResult r = RunChaosEngineStack(opt, stack);
       EXPECT_TRUE(r.completed) << r.engine << " under " << OverloadKindName(kind);
       EXPECT_EQ(r.violations, 0u) << r.engine << " under " << OverloadKindName(kind)
@@ -84,30 +83,21 @@ TEST(OverloadChaosTest, StackMatrixSurvivesEveryPressureKind) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard invariance: the digest is byte-identical for any worker count, and
-// full teardown proves zero leaked pool packets.
+// Every pressure kind completes cleanly, and full teardown proves zero leaked
+// pool packets.
 
 TEST(OverloadChaosTest, DigestInvariantAcrossShardCounts) {
   for (OverloadKind kind : kAllKinds) {
-    uint64_t digest1 = 0;
-    for (size_t shards : {size_t{1}, size_t{2}, size_t{8}}) {
-      const ChaosOptions opt = BaseOverloadOptions(kind, shards);
-      const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
-      ASSERT_TRUE(r.completed) << OverloadKindName(kind) << " shards=" << shards;
-      ASSERT_EQ(r.violations, 0u) << OverloadKindName(kind) << " shards=" << shards;
-      EXPECT_EQ(r.overload_pool_leaked, 0) << OverloadKindName(kind) << " shards=" << shards;
-      if (shards == 1) {
-        digest1 = r.digest;
-      } else {
-        EXPECT_EQ(r.digest, digest1)
-            << OverloadKindName(kind) << ": shards=" << shards << " diverged from shards=1";
-      }
-    }
+    const ChaosOptions opt = BaseOverloadOptions(kind);
+    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+    ASSERT_TRUE(r.completed) << OverloadKindName(kind);
+    ASSERT_EQ(r.violations, 0u) << OverloadKindName(kind);
+    EXPECT_EQ(r.overload_pool_leaked, 0) << OverloadKindName(kind);
   }
 }
 
 TEST(OverloadChaosTest, DigestIsReproducibleAndSensitive) {
-  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn, /*shards=*/1);
+  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn);
   const ChaosEngineResult a = RunChaosEngineStack(opt, StackKind::kJuggler);
   const ChaosEngineResult b = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_EQ(a.digest, b.digest);
@@ -124,8 +114,7 @@ TEST(OverloadChaosTest, DigestIsReproducibleAndSensitive) {
 // and flags any shed packet that went unaccounted.
 
 TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
-  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*shards=*/1,
-                                               /*pool_cap=*/96);
+  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*pool_cap=*/96);
   const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violations, 0u) << (r.violation_messages.empty()
@@ -133,20 +122,11 @@ TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
                                       : r.violation_messages.front());
   EXPECT_GT(r.overload_pool_exhausted, 1'000u) << "cap=96 must actually refuse the storm";
   EXPECT_EQ(r.overload_pool_leaked, 0);
-  EXPECT_LE(r.overload_peak_pool, 96u + 64u)
-      << "occupancy must stay near the cap (remote-release slack only)";
-
-  // The same tight-cap run is still shard-invariant: refusal verdicts
-  // depend on occupancy, which reconciles only at deterministic points.
-  ChaosOptions opt8 = opt;
-  opt8.shards = 8;
-  const ChaosEngineResult r8 = RunChaosEngineStack(opt8, StackKind::kJuggler);
-  EXPECT_EQ(r8.digest, r.digest);
-  EXPECT_EQ(r8.overload_pool_exhausted, r.overload_pool_exhausted);
+  EXPECT_LE(r.overload_peak_pool, 96u + 64u) << "occupancy must stay near the cap";
 }
 
 TEST(OverloadChaosTest, RingCapTailDropsAreCountedNotFatal) {
-  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*shards=*/1);
+  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast);
   opt.overload.ring_capacity = 16;
   const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
@@ -162,38 +142,34 @@ TEST(OverloadChaosTest, RingCapTailDropsAreCountedNotFatal) {
 // auditor asserts quiescence — mid-storm gro_table buffering is legitimate
 // transient state, not a leak.
 TEST(OverloadChaosTest, PressureOutlivingTheWorkloadStaysClean) {
-  for (size_t shards : {size_t{0}, size_t{2}}) {
-    ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn, shards);
-    opt.transfer_bytes = 150'000;  // finishes well before the window's Ms(15) end
-    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
-    EXPECT_TRUE(r.completed) << "shards=" << shards;
-    EXPECT_EQ(r.violations, 0u)
-        << "shards=" << shards
-        << (r.violation_messages.empty() ? "" : ": " + r.violation_messages.front());
-    EXPECT_GE(r.finish_time, Ms(15)) << "run must outlast the pressure window";
-    EXPECT_EQ(r.overload.windows_started, r.overload.windows_ended);
-  }
+  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn);
+  opt.transfer_bytes = 150'000;  // finishes well before the window's Ms(15) end
+  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+  EXPECT_TRUE(r.completed);
+  EXPECT_EQ(r.violations, 0u)
+      << (r.violation_messages.empty() ? "" : r.violation_messages.front());
+  EXPECT_GE(r.finish_time, Ms(15)) << "run must outlast the pressure window";
+  EXPECT_EQ(r.overload.windows_started, r.overload.windows_ended);
 }
 
-// Legacy (shards=0) runs cap the long-lived thread-local pool; after the
-// run the cap must be fully restored or every later test in this process
-// inherits a stale bound.
+// Chaos runs cap the long-lived thread-local pool; after the run the cap
+// must be fully restored or every later test in this process inherits a
+// stale bound.
 TEST(OverloadChaosTest, ThreadPoolCapacityRestoredAfterLegacyRun) {
   const size_t before = PacketPool::ThreadLocal().capacity();
-  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kBrownout, /*shards=*/0);
+  const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kBrownout);
   const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(PacketPool::ThreadLocal().capacity(), before);
 }
 
 // ---------------------------------------------------------------------------
-// Observability: the per-run metrics snapshot is worker-count invariant.
+// Observability: the per-run metrics snapshot reproduces across reruns.
 
 TEST(OverloadChaosTest, MetricsSnapshotIsShardInvariant) {
-  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*shards=*/1);
+  ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast);
   opt.obs.metrics = true;
   const ChaosEngineResult r1 = RunChaosEngineStack(opt, StackKind::kJuggler);
-  opt.shards = 2;
   const ChaosEngineResult r2 = RunChaosEngineStack(opt, StackKind::kJuggler);
   ASSERT_TRUE(r1.obs.metrics_enabled);
   ASSERT_TRUE(r2.obs.metrics_enabled);
@@ -248,8 +224,8 @@ TEST(OverloadPoolTest, TryAcquireRefusesAtCapWithoutAborting) {
 }
 
 TEST(OverloadPoolTest, OutstandingClampsWhenReleasesExceedAcquires) {
-  // An unstamped packet allocated from one pool but released into another
-  // pool's ledger skews released past acquired. The occupancy view must
+  // A packet allocated from one pool but released into another pool's
+  // ledger skews released past acquired. The occupancy view must
   // clamp at zero instead of wrapping to "infinitely full" — the wrap turns
   // a bookkeeping skew into a permanent allocation refusal.
   PacketPool source;
@@ -264,28 +240,31 @@ TEST(OverloadPoolTest, OutstandingClampsWhenReleasesExceedAcquires) {
   EXPECT_EQ(source.outstanding(), 1u) << "the source still counts its live packet";
 }
 
-TEST(OverloadPoolTest, RemoteReleasesFoldOnlyAtReconcile) {
-  // Stamped pool: a release on a thread whose ambient pool differs goes to
-  // the origin's cross-thread return stack, and is counted against
-  // occupancy only at ReconcileRemoteReleases() — the deterministic fold
-  // point the shard-invariant refusal verdicts rely on.
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
-  PacketPool other;
-  Packet* p = origin.Acquire();
-  EXPECT_EQ(origin.outstanding(), 1u);
-  PacketPool* prev = PacketPool::SwapThreadPool(&other);
-  PacketPool::ReleaseToThreadPool(p);  // origin != ambient: remote return
-  PacketPool::SwapThreadPool(prev);
-  EXPECT_EQ(origin.outstanding(), 1u) << "remote release invisible before reconcile";
-  origin.ReconcileRemoteReleases();
-  EXPECT_EQ(origin.outstanding(), 0u);
-  EXPECT_EQ(origin.released(), 1u);
+// The zero-leak assertions on chaos runs are not vacuous: a packet acquired
+// after the auditor took its baseline and still held at measurement time
+// reads as exactly one leaked packet.
+TEST(OverloadPoolTest, AuditorCountsAPacketHeldAfterBaselineAsLeaked) {
+  PacketPool pool;
+  Packet* before_baseline = pool.Acquire();
+  OverloadWiring wiring;
+  wiring.pool = &pool;
+  AuditLog log;
+  const OverloadAuditor auditor("leak", wiring, /*windows=*/{}, &log);
+  EXPECT_EQ(auditor.MeasureLeakedPackets(), 0u);
+  Packet* held = pool.Acquire();
+  EXPECT_EQ(auditor.MeasureLeakedPackets(), 1u);
+  pool.Release(held);
+  EXPECT_EQ(auditor.MeasureLeakedPackets(), 0u);
+  pool.Release(before_baseline);
+  EXPECT_EQ(log.violations(), 0u);
 }
 
 TEST(OverloadPoolTest, FactoryTryMakeKeepsIdSequenceDenseAcrossRefusals) {
-  PacketPool capped;
-  capped.set_capacity(1);
-  PacketPool* prev = PacketPool::SwapThreadPool(&capped);
+  // Room for exactly one more live packet in the factory's (thread) pool.
+  PacketPool& pool = PacketPool::ThreadLocal();
+  const size_t prior_capacity = pool.capacity();
+  const uint64_t exhausted_before = pool.exhausted();
+  pool.set_capacity(static_cast<size_t>(pool.outstanding()) + 1);
   PacketFactory factory;
   PacketPtr first = factory.TryMake();
   ASSERT_NE(first, nullptr);
@@ -297,8 +276,8 @@ TEST(OverloadPoolTest, FactoryTryMakeKeepsIdSequenceDenseAcrossRefusals) {
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->id, 1u) << "refusals must not consume ids";
   second.reset();
-  PacketPool::SwapThreadPool(prev);
-  EXPECT_EQ(capped.exhausted(), 2u);
+  pool.set_capacity(prior_capacity);
+  EXPECT_EQ(pool.exhausted() - exhausted_before, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -215,77 +215,6 @@ TEST(PacketPoolTest, ReleaseBatchRecyclesAndConsumes) {
   pool.Trim();
 }
 
-TEST(PacketPoolTest, ReleaseBatchRoutesStampedPacketsToOrigin) {
-  // Mixed-origin batch: ambient (unstamped) packets recycle locally, while
-  // packets stamped by a CrossThreadReturnTag pool that is NOT the ambient
-  // pool take the remote Treiber path back to their origin — even when the
-  // releasing thread is the same OS thread (shard domains swap pools, not
-  // threads).
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
-  PacketPool& ambient = PacketPool::ThreadLocal();
-  ambient.Trim();
-
-  std::vector<PacketPtr> batch;
-  PacketPool* prev = PacketPool::SwapThreadPool(&origin);
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(AllocPacket());  // stamped with &origin
-  }
-  PacketPool::SwapThreadPool(prev);
-  for (int i = 0; i < 8; ++i) {
-    batch.push_back(AllocPacket());  // ambient, unstamped
-  }
-  for (const PacketPtr& p : batch) {
-    ASSERT_NE(p.get(), nullptr);
-  }
-
-  const size_t ambient_before = ambient.free_size();
-  PacketPool::ReleaseBatch(batch.data(), batch.size());
-  EXPECT_EQ(ambient.free_size(), ambient_before + 8) << "ambient packets recycle locally";
-  EXPECT_EQ(origin.free_size(), 0u) << "remote returns park on the stack until drained";
-
-  // The origin drains its return stack on demand: 8 acquisitions come back
-  // recycled, not fresh.
-  prev = PacketPool::SwapThreadPool(&origin);
-  const uint64_t recycled_before = origin.recycled();
-  std::vector<PacketPtr> again;
-  for (int i = 0; i < 8; ++i) {
-    again.push_back(AllocPacket());
-  }
-  EXPECT_EQ(origin.recycled(), recycled_before + 8);
-  again.clear();
-  PacketPool::SwapThreadPool(prev);
-}
-
-TEST(PacketPoolTest, RemoteReturnChurnStaysBoundedAndRecycles) {
-  // Sustained cross-pool churn: every round hands packets out of the origin
-  // pool and releases them while another pool is ambient. The origin must
-  // recycle all of them (no allocation leak into the ambient pool) and the
-  // freelists must not grow with the number of rounds.
-  PacketPool origin{PacketPool::CrossThreadReturnTag{}};
-  PacketPool& ambient = PacketPool::ThreadLocal();
-  ambient.Trim();
-  const size_t ambient_baseline = ambient.free_size();
-
-  uint64_t fresh_after_warmup = 0;
-  for (int round = 0; round < 50; ++round) {
-    std::vector<PacketPtr> batch;
-    PacketPool* prev = PacketPool::SwapThreadPool(&origin);
-    for (int i = 0; i < 64; ++i) {
-      batch.push_back(AllocPacket());
-    }
-    PacketPool::SwapThreadPool(prev);
-    batch.clear();  // released with ambient pool current -> remote return
-    if (round == 0) {
-      fresh_after_warmup = origin.acquired() - origin.recycled();
-    }
-  }
-  // After the first round primed the return stack, later rounds recycle:
-  // the origin never allocated more than ~2 rounds' worth of storage.
-  EXPECT_LE(origin.acquired() - origin.recycled(), fresh_after_warmup + 64);
-  EXPECT_EQ(ambient.free_size(), ambient_baseline)
-      << "stamped packets leaked into the ambient pool";
-}
-
 TEST(SegmentBuilderTest, StartFromPacket) {
   SegmentBuilder b;
   EXPECT_TRUE(b.empty());
