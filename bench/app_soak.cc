@@ -60,7 +60,7 @@ int Run() {
     opt.seed = 1 + static_cast<uint64_t>(i % kSeeds);
     opt.family = FaultFamily::kMixed;
     opt.app = Workload(kWorkloads[(i / kSeeds) % kNumWorkloads]);
-    return RunChaosEngineStack(opt, kStacks[i / (kSeeds * kNumWorkloads)]);
+    return RunChaosEngine(opt, kStacks[i / (kSeeds * kNumWorkloads)]);
   });
 
   int failures = 0;
@@ -107,8 +107,8 @@ int Run() {
     opt.app = Workload(kWorkloads[w]);
     opt.app.retry.attempt_timeout = Ms(2);
     Pair pair;
-    pair.r1 = RunChaosEngineStack(opt, StackKind::kJuggler);
-    pair.r2 = RunChaosEngineStack(opt, StackKind::kJuggler);
+    pair.r1 = RunChaosEngine(opt, StackKind::kJuggler);
+    pair.r2 = RunChaosEngine(opt, StackKind::kJuggler);
     return pair;
   });
   uint64_t total_retries = 0;

@@ -26,6 +26,7 @@
 // --trace collects the Juggler engine's flight-recorder events across every
 // run into one trace file (load it at ui.perfetto.dev or chrome://tracing).
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +43,48 @@ const FaultFamily kAllFamilies[] = {
     FaultFamily::kDropBurst, FaultFamily::kDuplicate, FaultFamily::kCorrupt,
     FaultFamily::kDelaySpike, FaultFamily::kLinkFlap,
 };
+
+// The detail lines under one result row, from the engine whose counters the
+// row reports: app and overload counters, the metrics table, and the trace
+// events (appended to `trace`). `stack` names that engine in --stack mode;
+// null means the differential pair, whose details are the Juggler engine's.
+void PrintRunDetails(const ChaosOptions& opt, const ChaosEngineResult& er, const char* stack,
+                     std::vector<TraceEvent>* trace, uint64_t* trace_dropped) {
+  const bool tagged = stack != nullptr;
+  if (opt.app.enabled()) {
+    std::printf("    app[%s%s%s]: %llu issued, %llu ok, %llu timeout, %llu aborted, "
+                "%llu retries, %llu dedup\n",
+                tagged ? stack : "", tagged ? "/" : "", AppWorkloadKindName(opt.app.kind),
+                static_cast<unsigned long long>(er.app.issued),
+                static_cast<unsigned long long>(er.app.ok),
+                static_cast<unsigned long long>(er.app.timeouts),
+                static_cast<unsigned long long>(er.app.aborted),
+                static_cast<unsigned long long>(er.app.retries),
+                static_cast<unsigned long long>(er.app.duplicates_suppressed));
+  }
+  if (opt.overload.enabled()) {
+    std::printf("    overload%s%s%s: %llu injected, %llu inject-drops, %llu exhausted, "
+                "%llu ring-drops, peak pool %llu, leaked %lld\n",
+                tagged ? "[" : "", tagged ? stack : "", tagged ? "]" : "",
+                static_cast<unsigned long long>(er.overload.injected_packets),
+                static_cast<unsigned long long>(er.overload.inject_alloc_drops),
+                static_cast<unsigned long long>(er.overload_pool_exhausted),
+                static_cast<unsigned long long>(er.overload_ring_drops),
+                static_cast<unsigned long long>(er.overload_peak_pool),
+                static_cast<long long>(er.overload_pool_leaked));
+  }
+  if (opt.obs.metrics) {
+    if (!tagged) {
+      std::printf("  metrics (%s, seed %llu, juggler engine):\n", FaultFamilyName(opt.family),
+                  static_cast<unsigned long long>(opt.seed));
+    }
+    std::printf("%s", er.obs.metrics.ToTable().c_str());
+  }
+  if (opt.obs.trace) {
+    trace->insert(trace->end(), er.obs.events.begin(), er.obs.events.end());
+    *trace_dropped += er.obs.trace_dropped;
+  }
+}
 
 }  // namespace
 
@@ -66,6 +109,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Counts below 1 would run nothing and still report PASS.
+    auto count = [&](const char* flag) -> int {
+      const char* text = next(flag);
+      char* end = nullptr;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
+        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
+        std::exit(2);
+      }
+      return static_cast<int>(v);
+    };
     if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -75,7 +129,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--overload") == 0) {
       overload = true;
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
-      seeds = std::atoi(next("--seeds"));
+      seeds = count("--seeds");
     } else if (std::strcmp(argv[i], "--base-seed") == 0) {
       base_seed = std::strtoull(next("--base-seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--bytes") == 0) {
@@ -172,7 +226,7 @@ int main(int argc, char** argv) {
       if (single_stack) {
         // One engine, no differential: --stack picks which GRO path the
         // workload rides (presto has no differential partner).
-        const ChaosEngineResult er = RunChaosEngineStack(opt, stack);
+        const ChaosEngineResult er = RunChaosEngine(opt, stack);
         const bool ok = er.completed && er.violations == 0;
         std::printf("%-12s %6llu  %-8s %10lld %10s %8llu %8s %8llu  %016llx\n",
                     FaultFamilyName(family), static_cast<unsigned long long>(opt.seed),
@@ -180,35 +234,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(er.faults.packets_in), "-",
                     static_cast<unsigned long long>(er.flaps),
                     static_cast<unsigned long long>(er.digest));
-        if (opt.app.enabled()) {
-          std::printf("    app[%s/%s]: %llu issued, %llu ok, %llu timeout, %llu aborted, "
-                      "%llu retries, %llu dedup\n",
-                      StackKindName(stack), AppWorkloadKindName(app_kind),
-                      static_cast<unsigned long long>(er.app.issued),
-                      static_cast<unsigned long long>(er.app.ok),
-                      static_cast<unsigned long long>(er.app.timeouts),
-                      static_cast<unsigned long long>(er.app.aborted),
-                      static_cast<unsigned long long>(er.app.retries),
-                      static_cast<unsigned long long>(er.app.duplicates_suppressed));
-        }
-        if (overload) {
-          std::printf("    overload[%s]: %llu injected, %llu inject-drops, %llu exhausted, "
-                      "%llu ring-drops, peak pool %llu, leaked %lld\n",
-                      StackKindName(stack),
-                      static_cast<unsigned long long>(er.overload.injected_packets),
-                      static_cast<unsigned long long>(er.overload.inject_alloc_drops),
-                      static_cast<unsigned long long>(er.overload_pool_exhausted),
-                      static_cast<unsigned long long>(er.overload_ring_drops),
-                      static_cast<unsigned long long>(er.overload_peak_pool),
-                      static_cast<long long>(er.overload_pool_leaked));
-        }
-        if (metrics) {
-          std::printf("%s", er.obs.metrics.ToTable().c_str());
-        }
-        if (!trace_path.empty()) {
-          all_events.insert(all_events.end(), er.obs.events.begin(), er.obs.events.end());
-          trace_dropped += er.obs.trace_dropped;
-        }
+        PrintRunDetails(opt, er, StackKindName(stack), &all_events, &trace_dropped);
         if (!ok) {
           ++failures;
           for (const std::string& m : er.violation_messages) {
@@ -230,37 +256,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(fault_events),
                   static_cast<unsigned long long>(r.juggler.flaps),
                   static_cast<unsigned long long>(r.juggler.digest));
-      if (opt.app.enabled()) {
-        std::printf("    app[%s]: %llu issued, %llu ok, %llu timeout, %llu aborted, "
-                    "%llu retries, %llu dedup\n",
-                    AppWorkloadKindName(app_kind),
-                    static_cast<unsigned long long>(r.juggler.app.issued),
-                    static_cast<unsigned long long>(r.juggler.app.ok),
-                    static_cast<unsigned long long>(r.juggler.app.timeouts),
-                    static_cast<unsigned long long>(r.juggler.app.aborted),
-                    static_cast<unsigned long long>(r.juggler.app.retries),
-                    static_cast<unsigned long long>(r.juggler.app.duplicates_suppressed));
-      }
-      if (overload) {
-        std::printf("    overload: %llu injected, %llu inject-drops, %llu exhausted, "
-                    "%llu ring-drops, peak pool %llu, leaked %lld\n",
-                    static_cast<unsigned long long>(r.juggler.overload.injected_packets),
-                    static_cast<unsigned long long>(r.juggler.overload.inject_alloc_drops),
-                    static_cast<unsigned long long>(r.juggler.overload_pool_exhausted),
-                    static_cast<unsigned long long>(r.juggler.overload_ring_drops),
-                    static_cast<unsigned long long>(r.juggler.overload_peak_pool),
-                    static_cast<long long>(r.juggler.overload_pool_leaked));
-      }
-      if (metrics) {
-        std::printf("  metrics (%s, seed %llu, juggler engine):\n", FaultFamilyName(family),
-                    static_cast<unsigned long long>(opt.seed));
-        std::printf("%s", r.juggler.obs.metrics.ToTable().c_str());
-      }
-      if (!trace_path.empty()) {
-        all_events.insert(all_events.end(), r.juggler.obs.events.begin(),
-                          r.juggler.obs.events.end());
-        trace_dropped += r.juggler.obs.trace_dropped;
-      }
+      PrintRunDetails(opt, r.juggler, nullptr, &all_events, &trace_dropped);
       if (!r.ok) {
         ++failures;
         for (const auto& res : {r.juggler, r.baseline}) {

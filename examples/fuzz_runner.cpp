@@ -11,13 +11,14 @@
 //   ./build/examples/fuzz_runner --no-shrink
 //   ./build/examples/fuzz_runner --no-obs                 # skip trace attachments
 //
-// Bundles for cooperative failures (invariant violation, digest divergence,
-// exception) carry a flight-recorder attachment — metrics snapshot plus a
-// Chrome/Perfetto trace of the shrunk spec — unless --no-obs is given.
+// Bundles for cooperative failures (invariant violation, exception) carry a
+// flight-recorder attachment — metrics snapshot plus a Chrome/Perfetto trace
+// of the shrunk spec — unless --no-obs is given.
 //
 // Exit status: 0 when every spec ran clean, 1 when any finding was made.
 // Replay a bundle with: ./build/examples/replay_runner --bundle <file>.json
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,12 +40,24 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A count below 1 would run nothing and still report PASS; a timeout
+    // below 1 would classify every child as a deadlock.
+    auto count = [&](const char* flag) -> int {
+      const char* text = next(flag);
+      char* end = nullptr;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
+        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
+        std::exit(2);
+      }
+      return static_cast<int>(v);
+    };
     if (std::strcmp(argv[i], "--specs") == 0) {
-      opt.num_specs = std::atoi(next("--specs"));
+      opt.num_specs = count("--specs");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       opt.seed = std::strtoull(next("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      opt.timeout_ms = std::atoi(next("--timeout-ms"));
+      opt.timeout_ms = count("--timeout-ms");
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
       opt.time_budget_ms = std::atoll(next("--budget-ms"));
     } else if (std::strcmp(argv[i], "--out") == 0) {

@@ -17,6 +17,7 @@
 // JSON) to FILE; when the bundle carries none, the spec is re-run in-process
 // with tracing on — cooperative failure kinds only.
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -41,12 +42,24 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A count below 1 would run nothing and still report PASS; a timeout
+    // below 1 would classify every child as a deadlock.
+    auto count = [&](const char* flag) -> int {
+      const char* text = next(flag);
+      char* end = nullptr;
+      const long v = std::strtol(text, &end, 10);
+      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
+        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
+        std::exit(2);
+      }
+      return static_cast<int>(v);
+    };
     if (std::strcmp(argv[i], "--bundle") == 0) {
       bundle_path = next("--bundle");
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
-      repeat = std::atoi(next("--repeat"));
+      repeat = count("--repeat");
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      timeout_ms = std::atoi(next("--timeout-ms"));
+      timeout_ms = count("--timeout-ms");
     } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -103,10 +116,7 @@ int main(int argc, char** argv) {
       trace = *attached;
       std::printf("\ntrace: using the bundle's attached flight-recorder snapshot\n");
     } else {
-      const SignatureKind kind = bundle.signature.kind;
-      const bool cooperative = kind == SignatureKind::kInvariantViolation ||
-                               kind == SignatureKind::kException;
-      if (!cooperative || bundle.spec.plant_wedge) {
+      if (!IsCooperative(bundle.signature.kind) || bundle.spec.plant_wedge) {
         std::fprintf(stderr,
                      "trace: bundle has no attachment and its failure kind is not safe"
                      " to re-run in-process\n");

@@ -39,19 +39,17 @@ bool FaultProfileFromJson(const Json& json, FaultProfile* out, std::string* erro
     return SetError(error, "fault profile must be an object");
   }
   FaultProfile p;
-  int64_t burst_min = p.burst_len_min;
-  int64_t burst_max = p.burst_len_max;
-  int64_t delay_min = p.delay_min;
-  int64_t delay_max = p.delay_max;
   if (!json.GetDouble("drop_prob", &p.drop_prob) ||
       !json.GetDouble("burst_prob", &p.burst_prob) ||
-      !json.GetInt("burst_len_min", &burst_min) ||
-      !json.GetInt("burst_len_max", &burst_max) || !json.GetDouble("dup_prob", &p.dup_prob) ||
+      !json.GetInt("burst_len_min", &p.burst_len_min) ||
+      !json.GetInt("burst_len_max", &p.burst_len_max) ||
+      !json.GetDouble("dup_prob", &p.dup_prob) ||
       !json.GetDouble("corrupt_prob", &p.corrupt_prob) ||
       !json.GetDouble("truncate_prob", &p.truncate_prob) ||
       !json.GetDouble("delay_prob", &p.delay_prob) ||
-      !json.GetInt("delay_min_ns", &delay_min) || !json.GetInt("delay_max_ns", &delay_max)) {
-    return SetError(error, "fault profile has a wrong-typed field");
+      !json.GetInt("delay_min_ns", &p.delay_min) ||
+      !json.GetInt("delay_max_ns", &p.delay_max)) {
+    return SetError(error, "fault profile has a wrong-typed or out-of-range field");
   }
   for (double prob : {p.drop_prob, p.burst_prob, p.dup_prob, p.corrupt_prob, p.truncate_prob,
                       p.delay_prob}) {
@@ -59,16 +57,12 @@ bool FaultProfileFromJson(const Json& json, FaultProfile* out, std::string* erro
       return SetError(error, "fault profile probability outside [0, 1]");
     }
   }
-  if (burst_min < 1 || burst_max < burst_min) {
+  if (p.burst_len_min < 1 || p.burst_len_max < p.burst_len_min) {
     return SetError(error, "fault profile burst lengths invalid (need 1 <= min <= max)");
   }
-  if (delay_min < 0 || delay_max < delay_min) {
+  if (p.delay_min < 0 || p.delay_max < p.delay_min) {
     return SetError(error, "fault profile delay range invalid (need 0 <= min <= max)");
   }
-  p.burst_len_min = static_cast<int>(burst_min);
-  p.burst_len_max = static_cast<int>(burst_max);
-  p.delay_min = delay_min;
-  p.delay_max = delay_max;
   *out = p;
   return true;
 }
@@ -188,15 +182,12 @@ bool OverloadWindowFromJson(const Json& json, OverloadWindow* out, std::string* 
   }
   OverloadWindow w;
   std::string kind;
-  int64_t flows = w.flows;
-  int64_t ppf = w.packets_per_flow;
-  int64_t cap_pct = w.cap_pct;
   if (!json.GetInt("start_ns", &w.start) || !json.GetInt("end_ns", &w.end) ||
-      !json.GetString("kind", &kind) || !json.GetInt("flows", &flows) ||
-      !json.GetInt("packets_per_flow", &ppf) ||
+      !json.GetString("kind", &kind) || !json.GetInt("flows", &w.flows) ||
+      !json.GetInt("packets_per_flow", &w.packets_per_flow) ||
       !json.GetInt("burst_interval_ns", &w.burst_interval) ||
-      !json.GetInt("cap_pct", &cap_pct)) {
-    return SetError(error, "overload window has a wrong-typed field");
+      !json.GetInt("cap_pct", &w.cap_pct)) {
+    return SetError(error, "overload window has a wrong-typed or out-of-range field");
   }
   if (!ParseOverloadKind(kind, &w.kind)) {
     return SetError(error, "overload window kind unknown: " + kind);
@@ -204,15 +195,12 @@ bool OverloadWindowFromJson(const Json& json, OverloadWindow* out, std::string* 
   if (w.start < 0 || w.end < w.start) {
     return SetError(error, "overload window times invalid (need 0 <= start <= end)");
   }
-  if (flows < 0 || ppf < 1 || w.burst_interval < 1) {
+  if (w.packets_per_flow < 1 || w.burst_interval < 1) {
     return SetError(error, "overload window injection fields invalid");
   }
-  if (cap_pct < 1 || cap_pct > 100) {
+  if (w.cap_pct < 1 || w.cap_pct > 100) {
     return SetError(error, "overload window cap_pct outside [1, 100]");
   }
-  w.flows = static_cast<uint32_t>(flows);
-  w.packets_per_flow = static_cast<uint32_t>(ppf);
-  w.cap_pct = static_cast<uint32_t>(cap_pct);
   *out = w;
   return true;
 }

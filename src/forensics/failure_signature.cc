@@ -108,7 +108,7 @@ bool FailureSignature::FromJson(const Json& json, FailureSignature* out, std::st
   std::string kind_name = "clean";
   FailureSignature s;
   if (!json.GetString("kind", &kind_name) || !json.GetString("detail", &s.detail) ||
-      !json.GetUint("fingerprint", &s.fingerprint)) {
+      !json.GetInt("fingerprint", &s.fingerprint)) {
     *error = "signature: field with wrong type";
     return false;
   }

@@ -3,12 +3,12 @@
 // The supervisor needs to answer two questions about every child it reaps:
 // "did this fail, and is it the *same* failure I already have?". A signature
 // is (kind, normalized detail, fingerprint): the kind is the taxonomy bucket
-// (invariant violation, crash signal, sanitizer abort, deadlock timeout,
-// digest divergence, ...), the detail is the first line of evidence with
-// digit runs collapsed — byte counts, sequence numbers and timestamps vary
-// between a raw repro and its shrunk form, the shape of the message does
-// not — and the fingerprint is an FNV-1a over both, stable enough to dedup
-// findings and to assert that a replayed bundle reproduces *this* failure.
+// (invariant violation, crash signal, sanitizer abort, deadlock timeout, ...),
+// the detail is the first line of evidence with digit runs collapsed — byte
+// counts, sequence numbers and timestamps vary between a raw repro and its
+// shrunk form, the shape of the message does not — and the fingerprint is an
+// FNV-1a over both, stable enough to dedup findings and to assert that a
+// replayed bundle reproduces *this* failure.
 
 #ifndef JUGGLER_SRC_FORENSICS_FAILURE_SIGNATURE_H_
 #define JUGGLER_SRC_FORENSICS_FAILURE_SIGNATURE_H_
@@ -32,6 +32,13 @@ enum class SignatureKind : int {
 
 const char* SignatureKindName(SignatureKind kind);
 bool ParseSignatureKind(const std::string& name, SignatureKind* out);
+
+// Failures the run reported itself (invariant violation, exception): safe to
+// re-run in-process, e.g. to collect a trace. Every other kind may take the
+// re-running process down with it.
+inline bool IsCooperative(SignatureKind kind) {
+  return kind == SignatureKind::kInvariantViolation || kind == SignatureKind::kException;
+}
 
 // Digit runs collapsed to '#' (so "in 152 vs out 153" == "in 7 vs out 8"),
 // everything past the first line dropped, length capped.

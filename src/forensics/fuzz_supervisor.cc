@@ -102,10 +102,8 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
       ReproBundle bundle;
       bundle.spec = finding.shrunk;
       bundle.signature = finding.signature;
-      const SignatureKind kind = finding.signature.kind;
-      const bool cooperative = kind == SignatureKind::kInvariantViolation ||
-                               kind == SignatureKind::kException;
-      if (options.attach_obs && cooperative && !finding.shrunk.plant_wedge) {
+      if (options.attach_obs && IsCooperative(finding.signature.kind) &&
+          !finding.shrunk.plant_wedge) {
         bundle.obs = CollectSpecObs(finding.shrunk);
       }
       bundle.notes = "fuzz seed " + std::to_string(options.seed) + ", spec #" +

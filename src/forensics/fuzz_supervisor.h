@@ -43,14 +43,14 @@ struct FuzzOptions {
   // retransmit before any sane app timeout expires.
   bool plant_app_stale_token = false;
   // Test-only: run every sampled spec on the COREC receive driver with the
-  // hand-off wedge plant armed (ScenarioSpec::plant_corec_wedge) — a
+  // hand-off wedge plant armed (ChaosOptions::plant_corec_wedge) — a
   // COREC-only stall-to-deadlock defect the pipeline must find, shrink
   // (keeping the corec axis; see Shrinker::SimplifyRxDriver) and replay.
   bool plant_corec_wedge = false;
   // Attach a flight-recorder snapshot (metrics + trace) to each written
   // bundle by re-running the shrunk spec in-process with observability on.
-  // Only done for cooperative failure kinds (invariant violation, digest
-  // divergence, exception) — a crash/timeout would take the fuzzer with it.
+  // Only done for cooperative failure kinds (IsCooperative: invariant
+  // violation, exception) — a crash/timeout would take the fuzzer with it.
   bool attach_obs = true;
 };
 

@@ -60,55 +60,18 @@ bool IsKnownSpecKey(const std::string& key) {
 
 }  // namespace
 
-ChaosOptions ScenarioSpec::ToChaosOptions() const {
-  ChaosOptions opt;
-  opt.seed = seed;
-  opt.family = family;
-  opt.transfer_bytes = transfer_bytes;
-  opt.time_limit = time_limit;
-  opt.reorder_delay = reorder_delay;
-  opt.num_windows = num_windows;
-  opt.audit = true;
-  opt.link_rate_bps = link_rate_bps;
-  opt.base_delay = base_delay;
-  opt.int_coalesce = int_coalesce;
-  opt.inseq_timeout = inseq_timeout;
-  opt.ofo_timeout = ofo_timeout;
-  opt.max_flows = static_cast<size_t>(max_flows);
-  opt.use_explicit_faults = use_explicit_faults;
-  opt.fault_override = faults;
-  opt.use_explicit_flaps = use_explicit_flaps;
-  opt.flap_override = flaps;
-  opt.plant_flush_skew = plant_flush_skew;
-  opt.rx_driver = rx_driver;
-  // Depth 1: wedge at the very first out-of-order stall the hand-off sees.
-  opt.plant_corec_wedge_depth = plant_corec_wedge ? 1 : 0;
-  opt.overload.windows = overload_windows;
-  opt.overload.pool_capacity = static_cast<size_t>(overload_pool_capacity);
-  opt.overload.ring_capacity = static_cast<size_t>(overload_ring_capacity);
-  opt.app = app;
-  return opt;
-}
-
 void ScenarioSpec::Materialize() {
-  const ChaosOptions opt = ToChaosOptions();
-  if (!use_explicit_faults) {
-    faults = DeriveChaosFaults(opt);
-    use_explicit_faults = true;
+  if (!faults) {
+    faults = DeriveChaosFaults(*this);
   }
-  if (!use_explicit_flaps) {
-    flaps = DeriveChaosFlaps(opt);
-    use_explicit_flaps = true;
+  if (!flaps) {
+    flaps = DeriveChaosFlaps(*this);
   }
 }
 
 size_t ScenarioSpec::TimelineEvents() const {
-  const ChaosOptions opt = ToChaosOptions();
-  const size_t fault_windows =
-      use_explicit_faults ? faults.windows().size() : DeriveChaosFaults(opt).windows().size();
-  const size_t flap_windows =
-      use_explicit_flaps ? flaps.size() : DeriveChaosFlaps(opt).size();
-  return fault_windows + flap_windows + overload_windows.size();
+  return (faults ? *faults : DeriveChaosFaults(*this)).windows().size() +
+         (flaps ? *flaps : DeriveChaosFlaps(*this)).size() + overload.windows.size();
 }
 
 Json ScenarioSpec::ToJson() const {
@@ -125,13 +88,13 @@ Json ScenarioSpec::ToJson() const {
   j.Set("inseq_timeout_ns", Json::Int(inseq_timeout));
   j.Set("ofo_timeout_ns", Json::Int(ofo_timeout));
   j.Set("max_flows", Json::Uint(max_flows));
-  j.Set("use_explicit_faults", Json::Bool(use_explicit_faults));
-  if (use_explicit_faults) {
-    j.Set("faults", FaultTimelineToJson(faults));
+  j.Set("use_explicit_faults", Json::Bool(faults.has_value()));
+  if (faults) {
+    j.Set("faults", FaultTimelineToJson(*faults));
   }
-  j.Set("use_explicit_flaps", Json::Bool(use_explicit_flaps));
-  if (use_explicit_flaps) {
-    j.Set("flaps", FlapWindowsToJson(flaps));
+  j.Set("use_explicit_flaps", Json::Bool(flaps.has_value()));
+  if (flaps) {
+    j.Set("flaps", FlapWindowsToJson(*flaps));
   }
   if (plant_flush_skew) {
     j.Set("plant_flush_skew", Json::Bool(true));
@@ -170,10 +133,10 @@ Json ScenarioSpec::ToJson() const {
   }
   // Overload block only when pressure windows ride the run, same contract
   // as the app block: pre-overload specs re-serialize byte-identically.
-  if (!overload_windows.empty()) {
-    j.Set("overload", OverloadWindowsToJson(overload_windows));
-    j.Set("overload_pool_capacity", Json::Uint(overload_pool_capacity));
-    j.Set("overload_ring_capacity", Json::Uint(overload_ring_capacity));
+  if (overload.enabled()) {
+    j.Set("overload", OverloadWindowsToJson(overload.windows));
+    j.Set("overload_pool_capacity", Json::Uint(overload.pool_capacity));
+    j.Set("overload_ring_capacity", Json::Uint(overload.ring_capacity));
   }
   // Unknown members last, in the order the original document carried them.
   // One normalization pass later, re-serialization is a fixed point.
@@ -190,22 +153,25 @@ bool ScenarioSpec::FromJson(const Json& json, ScenarioSpec* out, std::string* er
   }
   ScenarioSpec s;
   std::string family_name = FaultFamilyName(s.family);
-  int64_t num_windows = s.num_windows;
-  if (!json.GetUint("seed", &s.seed) || !json.GetString("family", &family_name) ||
-      !json.GetUint("transfer_bytes", &s.transfer_bytes) ||
-      !json.GetInt("time_limit_ns", &s.time_limit) || !json.GetInt("num_windows", &num_windows) ||
+  bool explicit_faults = false;
+  bool explicit_flaps = false;
+  if (!json.GetInt("seed", &s.seed) || !json.GetString("family", &family_name) ||
+      !json.GetInt("transfer_bytes", &s.transfer_bytes) ||
+      !json.GetInt("time_limit_ns", &s.time_limit) ||
+      !json.GetInt("num_windows", &s.num_windows) ||
       !json.GetInt("link_rate_bps", &s.link_rate_bps) ||
       !json.GetInt("base_delay_ns", &s.base_delay) ||
       !json.GetInt("reorder_delay_ns", &s.reorder_delay) ||
       !json.GetInt("int_coalesce_ns", &s.int_coalesce) ||
       !json.GetInt("inseq_timeout_ns", &s.inseq_timeout) ||
-      !json.GetInt("ofo_timeout_ns", &s.ofo_timeout) || !json.GetUint("max_flows", &s.max_flows) ||
-      !json.GetBool("use_explicit_faults", &s.use_explicit_faults) ||
-      !json.GetBool("use_explicit_flaps", &s.use_explicit_flaps) ||
+      !json.GetInt("ofo_timeout_ns", &s.ofo_timeout) ||
+      !json.GetInt("max_flows", &s.max_flows) ||
+      !json.GetBool("use_explicit_faults", &explicit_faults) ||
+      !json.GetBool("use_explicit_flaps", &explicit_flaps) ||
       !json.GetBool("plant_flush_skew", &s.plant_flush_skew) ||
       !json.GetBool("plant_wedge", &s.plant_wedge) ||
       !json.GetBool("plant_corec_wedge", &s.plant_corec_wedge)) {
-    *error = "spec: field with wrong type";
+    *error = "spec: field with wrong type or out of range";
     return false;
   }
   if (!ParseFaultFamily(family_name.c_str(), &s.family)) {
@@ -222,75 +188,76 @@ bool ScenarioSpec::FromJson(const Json& json, ScenarioSpec* out, std::string* er
     *error = "spec: unknown rx_driver \"" + rx_driver_name + "\"";
     return false;
   }
-  s.num_windows = static_cast<int>(num_windows);
   if (s.transfer_bytes == 0 || s.time_limit <= 0 || s.num_windows < 1 || s.link_rate_bps <= 0 ||
       s.base_delay <= 0 || s.reorder_delay < 0 || s.int_coalesce < 0 || s.inseq_timeout <= 0 ||
       s.ofo_timeout <= 0 || s.max_flows == 0) {
     *error = "spec: parameter out of range";
     return false;
   }
+  // A timeline is validated whenever present but only applies when its
+  // use_explicit_* flag is set.
+  FaultTimeline faults;
   if (const Json* f = json.Find("faults")) {
-    if (!FaultTimelineFromJson(*f, &s.faults, error)) {
+    if (!FaultTimelineFromJson(*f, &faults, error)) {
       return false;
     }
   }
+  std::vector<FlapWindow> flaps;
   if (const Json* f = json.Find("flaps")) {
-    if (!FlapWindowsFromJson(*f, &s.flaps, error)) {
+    if (!FlapWindowsFromJson(*f, &flaps, error)) {
       return false;
     }
+  }
+  if (explicit_faults) {
+    s.faults = std::move(faults);
+  }
+  if (explicit_flaps) {
+    s.flaps = std::move(flaps);
   }
   // App workload: every field absent-tolerant (pre-app specs carry none).
-  std::string app_kind_name = AppWorkloadKindName(s.app.kind);
-  uint64_t app_sessions = s.app.sessions;
-  uint64_t app_requests = s.app.requests_per_session;
-  uint64_t app_max_attempts = s.app.retry.max_attempts;
-  uint64_t app_jitter_pct = s.app.retry.jitter_pct;
+  AppWorkloadOptions& app = s.app;
+  std::string app_kind_name = AppWorkloadKindName(app.kind);
   if (!json.GetString("app_kind", &app_kind_name) ||
-      !json.GetUint("app_sessions", &app_sessions) ||
-      !json.GetUint("app_requests_per_session", &app_requests) ||
-      !json.GetUint("app_request_bytes", &s.app.request_bytes) ||
-      !json.GetUint("app_response_bytes", &s.app.response_bytes) ||
-      !json.GetUint("app_chunk_bytes", &s.app.chunk_bytes) ||
-      !json.GetUint("app_transfer_bytes", &s.app.transfer_bytes_per_session) ||
-      !json.GetInt("app_issue_interval_ns", &s.app.issue_interval) ||
-      !json.GetInt("app_attempt_timeout_ns", &s.app.retry.attempt_timeout) ||
-      !json.GetInt("app_deadline_ns", &s.app.retry.deadline) ||
-      !json.GetUint("app_max_attempts", &app_max_attempts) ||
-      !json.GetInt("app_backoff_base_ns", &s.app.retry.backoff_base) ||
-      !json.GetInt("app_backoff_max_ns", &s.app.retry.backoff_max) ||
-      !json.GetUint("app_jitter_pct", &app_jitter_pct) ||
-      !json.GetBool("plant_stale_token", &s.app.plant_stale_token)) {
-    *error = "spec: app field with wrong type";
+      !json.GetInt("app_sessions", &app.sessions) ||
+      !json.GetInt("app_requests_per_session", &app.requests_per_session) ||
+      !json.GetInt("app_request_bytes", &app.request_bytes) ||
+      !json.GetInt("app_response_bytes", &app.response_bytes) ||
+      !json.GetInt("app_chunk_bytes", &app.chunk_bytes) ||
+      !json.GetInt("app_transfer_bytes", &app.transfer_bytes_per_session) ||
+      !json.GetInt("app_issue_interval_ns", &app.issue_interval) ||
+      !json.GetInt("app_attempt_timeout_ns", &app.retry.attempt_timeout) ||
+      !json.GetInt("app_deadline_ns", &app.retry.deadline) ||
+      !json.GetInt("app_max_attempts", &app.retry.max_attempts) ||
+      !json.GetInt("app_backoff_base_ns", &app.retry.backoff_base) ||
+      !json.GetInt("app_backoff_max_ns", &app.retry.backoff_max) ||
+      !json.GetInt("app_jitter_pct", &app.retry.jitter_pct) ||
+      !json.GetBool("plant_stale_token", &app.plant_stale_token)) {
+    *error = "spec: app field with wrong type or out of range";
     return false;
   }
-  if (!ParseAppWorkloadKind(app_kind_name.c_str(), &s.app.kind)) {
+  if (!ParseAppWorkloadKind(app_kind_name.c_str(), &app.kind)) {
     *error = "spec: unknown app_kind \"" + app_kind_name + "\"";
     return false;
   }
-  s.app.sessions = static_cast<uint32_t>(app_sessions);
-  s.app.requests_per_session = static_cast<uint32_t>(app_requests);
-  s.app.retry.max_attempts = static_cast<uint32_t>(app_max_attempts);
-  s.app.retry.jitter_pct = static_cast<uint32_t>(app_jitter_pct);
-  if (s.app.enabled()) {
-    if (s.app.sessions == 0 || s.app.request_bytes == 0 || s.app.response_bytes == 0 ||
-        s.app.chunk_bytes == 0 || s.app.transfer_bytes_per_session == 0 ||
-        s.app.issue_interval < 0 || s.app.retry.attempt_timeout <= 0 ||
-        s.app.retry.deadline <= 0 || s.app.retry.max_attempts == 0 ||
-        s.app.retry.backoff_base < 0 || s.app.retry.backoff_max < s.app.retry.backoff_base ||
-        s.app.retry.jitter_pct > 100) {
+  if (app.enabled()) {
+    if (app.sessions == 0 || app.request_bytes == 0 || app.response_bytes == 0 ||
+        app.chunk_bytes == 0 || app.transfer_bytes_per_session == 0 || app.issue_interval < 0 ||
+        app.retry.attempt_timeout <= 0 || app.retry.deadline <= 0 ||
+        app.retry.max_attempts == 0 || app.retry.backoff_base < 0 ||
+        app.retry.backoff_max < app.retry.backoff_base || app.retry.jitter_pct > 100) {
       *error = "spec: app parameter out of range";
       return false;
     }
   }
   // Overload block: absent-tolerant like the app block.
   if (const Json* o = json.Find("overload")) {
-    if (!OverloadWindowsFromJson(*o, &s.overload_windows, error)) {
+    if (!OverloadWindowsFromJson(*o, &s.overload.windows, error)) {
       return false;
     }
   }
-  if (!json.GetUint("overload_pool_capacity", &s.overload_pool_capacity) ||
-      !json.GetUint("overload_ring_capacity", &s.overload_ring_capacity)) {
-    *error = "spec: overload field with wrong type";
+  if (!json.GetInt("overload_pool_capacity", &s.overload.pool_capacity) ||
+      !json.GetInt("overload_ring_capacity", &s.overload.ring_capacity)) {
+    *error = "spec: overload field with wrong type or out of range";
     return false;
   }
   for (const auto& member : json.members()) {
@@ -303,15 +270,18 @@ bool ScenarioSpec::FromJson(const Json& json, ScenarioSpec* out, std::string* er
 }
 
 ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
+  // Transfer sizes and window counts a correct stack always finishes inside
+  // the default time_limit.
+  constexpr uint64_t kMinTransferBytes = 400'000;
+  constexpr uint64_t kMaxTransferBytes = 2'000'000;
+  constexpr uint64_t kMaxWindows = 4;
   ScenarioSpec s;
   s.seed = rng->NextU64();
   // kMixed plus the five concrete families, equally weighted.
   const uint64_t pick = rng->NextBounded(kNumFaultFamilies + 1);
   s.family = pick == kNumFaultFamilies ? FaultFamily::kMixed : static_cast<FaultFamily>(pick);
-  s.transfer_bytes =
-      limits.min_transfer_bytes +
-      rng->NextBounded(limits.max_transfer_bytes - limits.min_transfer_bytes + 1);
-  s.num_windows = 1 + static_cast<int>(rng->NextBounded(static_cast<uint64_t>(limits.max_windows)));
+  s.transfer_bytes = kMinTransferBytes + rng->NextBounded(kMaxTransferBytes - kMinTransferBytes + 1);
+  s.num_windows = 1 + static_cast<int>(rng->NextBounded(kMaxWindows));
   s.reorder_delay = rng->NextInRange(Us(100), Us(400));
   s.int_coalesce = rng->NextInRange(Us(60), Us(200));
   // inseq below ofo, ofo comfortably above the reorder delay the family
@@ -357,7 +327,7 @@ ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
   // or not this build knows about overload windows.
   Rng ovl_rng(s.seed ^ 0x0B'E7D0'AD5E'ED11ULL);
   if (ovl_rng.NextBool(limits.overload_prob)) {
-    s.overload_pool_capacity = 1'024 + ovl_rng.NextBounded(7'169);  // [1 Ki, 8 Ki]
+    s.overload.pool_capacity = 1'024 + ovl_rng.NextBounded(7'169);  // [1 Ki, 8 Ki]
     const int count = 1 + static_cast<int>(ovl_rng.NextBounded(2));
     // Sequential non-overlapping windows early in the run: pressure flares
     // and subsides while the transfer is in flight, and the tail of
@@ -372,7 +342,7 @@ ScenarioSpec SampleScenarioSpec(Rng* rng, const SampleLimits& limits) {
       w.packets_per_flow = 2 + static_cast<uint32_t>(ovl_rng.NextBounded(5));   // [2, 6]
       w.burst_interval = ovl_rng.NextInRange(Us(100), Us(400));
       w.cap_pct = 10 + static_cast<uint32_t>(ovl_rng.NextBounded(41));          // [10, 50]
-      s.overload_windows.push_back(w);
+      s.overload.windows.push_back(w);
       cursor = w.end + ovl_rng.NextInRange(Ms(2), Ms(10));
     }
   }

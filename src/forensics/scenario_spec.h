@@ -2,12 +2,21 @@
 //
 // The forensics layer treats "a run" as data: every knob that can change a
 // run's outcome — topology parameters, NIC and GRO timeouts, the fault and
-// flap timelines, the RNG seed — lives in one struct that
-// round-trips through JSON byte-stably. The fuzz supervisor samples specs,
-// the executor runs them in watchdogged children, the shrinker rewrites
-// their timelines event by event, and a repro bundle carries one verbatim.
+// flap timelines, the RNG seed — is a ChaosOptions field, and a spec IS a
+// ChaosOptions (RunChaos(spec) runs it) plus the two things the run itself
+// never reads: the executor's wedge plant and the unknown JSON members kept
+// for round trips. The spec round-trips through JSON byte-stably. The fuzz
+// supervisor samples specs, the executor runs them in watchdogged children,
+// the shrinker rewrites their timelines event by event, and a repro bundle
+// carries one verbatim.
 //
-// A spec whose override flags are off behaves exactly like the classic
+// Three ChaosOptions fields stay out of the document: `audit` (always on —
+// the auditor is the primary failure oracle), `per_packet_dispatch` (a
+// determinism test knob; digests are identical either way) and `obs` (never
+// enters a digest; CollectSpecObs turns it on for bundle attachments). No
+// spec caller sets them.
+//
+// A spec without explicit timelines behaves exactly like the classic
 // (family, seed) chaos recipe; Materialize() freezes the seed-derived
 // schedules into explicit form so subsequent edits cannot perturb any other
 // random draw.
@@ -24,61 +33,10 @@
 
 namespace juggler {
 
-struct ScenarioSpec {
-  // Identity + workload.
-  uint64_t seed = 1;
-  FaultFamily family = FaultFamily::kMixed;
-  uint64_t transfer_bytes = 1'500'000;
-  TimeNs time_limit = Ms(800);
-  int num_windows = 3;
-
-  // Topology / NIC knobs.
-  int64_t link_rate_bps = 10 * kGbps;
-  TimeNs base_delay = Us(5);
-  TimeNs reorder_delay = Us(250);
-  TimeNs int_coalesce = Us(125);
-
-  // Juggler knobs (Table 2 timeouts, gro_table cap).
-  TimeNs inseq_timeout = Us(52);
-  TimeNs ofo_timeout = Us(300);
-  uint64_t max_flows = 64;
-
-  // Receive-path architecture, both hosts (kRss is the classic NAPI model;
-  // the JSON key is emitted only when non-default so historical bundles
-  // stay byte-identical).
-  RxDriverKind rx_driver = RxDriverKind::kRss;
-
-  // Explicit timelines; when the flags are off the run derives both from
-  // (family, seed) exactly as RunChaos always has.
-  bool use_explicit_faults = false;
-  FaultTimeline faults;
-  bool use_explicit_flaps = false;
-  std::vector<FlapWindow> flaps;
-
-  // Overload pressure windows (always explicit — never seed-derived at run
-  // time, so the shrinker edits them freely) plus the pool/ring caps in
-  // force while any window is configured. Empty = overload machinery off.
-  std::vector<OverloadWindow> overload_windows;
-  uint64_t overload_pool_capacity = 8192;
-  uint64_t overload_ring_capacity = 0;
-
-  // Test-only planted defects, for validating the forensics pipeline
-  // itself: a conservation-law off-by-one in the Juggler flush accounting,
-  // and a child that wedges in an infinite loop (exercises the watchdog).
-  bool plant_flush_skew = false;
+struct ScenarioSpec : ChaosOptions {
+  // Test-only planted defect for validating the forensics pipeline itself:
+  // a child that wedges in an infinite loop (exercises the watchdog).
   bool plant_wedge = false;
-  // Planted COREC-only defect: permanently wedge the receiver's in-order
-  // hand-off stage at its first out-of-order stall, so claimed packets never
-  // reach GRO again and the stream integrity oracle fires. Implies the run
-  // only fails under rx_driver == kCorec — the shrinker's SimplifyRxDriver
-  // pass must therefore keep the corec axis in the minimal repro.
-  bool plant_corec_wedge = false;
-
-  // Application workload riding the run (kind == kNone is the classic raw
-  // byte transfer). app.plant_stale_token is the app-layer planted defect:
-  // retries mint fresh idempotency tokens, so the server executes the same
-  // logical request twice and the auditor flags it.
-  AppWorkloadOptions app;
 
   // Members this build did not recognize, preserved in document order and
   // re-emitted verbatim by ToJson(): repro bundles written by newer builds
@@ -87,29 +45,23 @@ struct ScenarioSpec {
   // "check_shard_divergence" from the removed sharded engine).
   Json extra = Json::Object();
 
-  // The ChaosOptions this spec pins (audit always on — the auditor is the
-  // primary failure oracle).
-  ChaosOptions ToChaosOptions() const;
-
   // Freeze the (family, seed)-derived fault and flap schedules into the
   // explicit fields, so the shrinker's edits are self-contained. No-op for
   // already-explicit specs; the run is bit-identical either way.
   void Materialize();
 
-  // Fault windows + flap windows currently in force (explicit or derived):
-  // the "event count" the shrinker minimizes.
+  // Fault windows + flap windows currently in force (explicit or derived)
+  // + overload windows: the "event count" the shrinker minimizes.
   size_t TimelineEvents() const;
 
   Json ToJson() const;
   static bool FromJson(const Json& json, ScenarioSpec* out, std::string* error);
 };
 
-// Bounds for sampled specs, chosen so a correct stack always completes the
-// transfer inside time_limit (the fuzzer hunts bugs, not resource limits).
+// The sampled mix. The value ranges themselves are fixed in the sampler,
+// chosen so a correct stack always completes the transfer inside time_limit
+// (the fuzzer hunts bugs, not resource limits).
 struct SampleLimits {
-  uint64_t min_transfer_bytes = 400'000;
-  uint64_t max_transfer_bytes = 2'000'000;
-  int max_windows = 4;
   // Probability a sampled spec carries an application workload instead of
   // the raw transfer. App draws come from a stream derived from the spec's
   // own seed, so raising or lowering this never shifts the non-app fields

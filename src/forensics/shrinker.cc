@@ -7,6 +7,10 @@
 namespace juggler {
 namespace {
 
+// The floors ShrinkWorkload halves the transfer and the time budget toward.
+constexpr uint64_t kMinTransferBytes = 200'000;
+constexpr TimeNs kMinTimeLimit = Ms(100);
+
 class Shrinker {
  public:
   Shrinker(const FailureSignature& target, const ShrinkOptions& options)
@@ -53,12 +57,13 @@ class Shrinker {
 
   // Drop whole fault windows, one at a time, restarting after each accept
   // (indices shift). The loop is quadratic in windows but windows are few.
+  // Every pass runs on a materialized spec: both timelines are set.
   bool DropFaultWindows(ScenarioSpec* spec) {
     bool any = false;
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      const auto& windows = spec->faults.windows();
+      const auto& windows = spec->faults->windows();
       for (size_t skip = 0; skip < windows.size(); ++skip) {
         ScenarioSpec candidate = *spec;
         FaultTimeline pruned;
@@ -86,9 +91,9 @@ class Shrinker {
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      for (size_t skip = 0; skip < spec->flaps.size(); ++skip) {
+      for (size_t skip = 0; skip < spec->flaps->size(); ++skip) {
         ScenarioSpec candidate = *spec;
-        candidate.flaps.erase(candidate.flaps.begin() + static_cast<ptrdiff_t>(skip));
+        candidate.flaps->erase(candidate.flaps->begin() + static_cast<ptrdiff_t>(skip));
         if (StillFails(candidate)) {
           *spec = std::move(candidate);
           any = again = true;
@@ -106,16 +111,16 @@ class Shrinker {
   // flap windows from up_at). One attempt per window per round.
   bool HalveWindowSpans(ScenarioSpec* spec) {
     bool any = false;
-    for (size_t i = 0; i < spec->faults.windows().size() && !Exhausted(); ++i) {
-      const auto& w = spec->faults.windows()[i];
+    for (size_t i = 0; i < spec->faults->windows().size() && !Exhausted(); ++i) {
+      const auto& w = spec->faults->windows()[i];
       const TimeNs span = w.end - w.start;
       if (span <= Ms(1)) {
         continue;
       }
       ScenarioSpec candidate = *spec;
       FaultTimeline edited;
-      for (size_t k = 0; k < spec->faults.windows().size(); ++k) {
-        auto win = spec->faults.windows()[k];
+      for (size_t k = 0; k < spec->faults->windows().size(); ++k) {
+        auto win = spec->faults->windows()[k];
         if (k == i) {
           win.end = win.start + span / 2;
         }
@@ -127,13 +132,14 @@ class Shrinker {
         any = true;
       }
     }
-    for (size_t i = 0; i < spec->flaps.size() && !Exhausted(); ++i) {
-      const TimeNs span = spec->flaps[i].up_at - spec->flaps[i].down_at;
+    for (size_t i = 0; i < spec->flaps->size() && !Exhausted(); ++i) {
+      const TimeNs span = (*spec->flaps)[i].up_at - (*spec->flaps)[i].down_at;
       if (span <= Ms(1)) {
         continue;
       }
       ScenarioSpec candidate = *spec;
-      candidate.flaps[i].up_at = candidate.flaps[i].down_at + span / 2;
+      FlapWindow& flap = (*candidate.flaps)[i];
+      flap.up_at = flap.down_at + span / 2;
       if (StillFails(candidate)) {
         *spec = std::move(candidate);
         any = true;
@@ -147,9 +153,9 @@ class Shrinker {
     bool again = true;
     while (again && !Exhausted()) {
       again = false;
-      for (size_t skip = 0; skip < spec->overload_windows.size(); ++skip) {
+      for (size_t skip = 0; skip < spec->overload.windows.size(); ++skip) {
         ScenarioSpec candidate = *spec;
-        candidate.overload_windows.erase(candidate.overload_windows.begin() +
+        candidate.overload.windows.erase(candidate.overload.windows.begin() +
                                          static_cast<ptrdiff_t>(skip));
         if (StillFails(candidate)) {
           *spec = std::move(candidate);
@@ -181,30 +187,30 @@ class Shrinker {
         any = true;
       }
     };
-    for (size_t i = 0; i < spec->overload_windows.size(); ++i) {
-      const OverloadWindow& w = spec->overload_windows[i];
+    for (size_t i = 0; i < spec->overload.windows.size(); ++i) {
+      const OverloadWindow& w = spec->overload.windows[i];
       if (w.end - w.start > Ms(1)) {
         try_edit([i](ScenarioSpec* s) {
-          OverloadWindow& e = s->overload_windows[i];
+          OverloadWindow& e = s->overload.windows[i];
           e.end = e.start + (e.end - e.start) / 2;
         });
       }
-      if (spec->overload_windows[i].flows > 1) {
-        try_edit([i](ScenarioSpec* s) { s->overload_windows[i].flows /= 2; });
+      if (spec->overload.windows[i].flows > 1) {
+        try_edit([i](ScenarioSpec* s) { s->overload.windows[i].flows /= 2; });
       }
-      if (spec->overload_windows[i].packets_per_flow > 1) {
-        try_edit([i](ScenarioSpec* s) { s->overload_windows[i].packets_per_flow /= 2; });
+      if (spec->overload.windows[i].packets_per_flow > 1) {
+        try_edit([i](ScenarioSpec* s) { s->overload.windows[i].packets_per_flow /= 2; });
       }
-      if (spec->overload_windows[i].kind == OverloadKind::kBrownout &&
-          spec->overload_windows[i].cap_pct < 100) {
+      if (spec->overload.windows[i].kind == OverloadKind::kBrownout &&
+          spec->overload.windows[i].cap_pct < 100) {
         try_edit([i](ScenarioSpec* s) {
-          OverloadWindow& e = s->overload_windows[i];
+          OverloadWindow& e = s->overload.windows[i];
           e.cap_pct = std::min<uint32_t>(100, e.cap_pct * 2);
         });
       }
     }
-    if (!spec->overload_windows.empty() && spec->overload_pool_capacity != 0) {
-      try_edit([](ScenarioSpec* s) { s->overload_pool_capacity *= 2; });
+    if (spec->overload.enabled() && spec->overload.pool_capacity != 0) {
+      try_edit([](ScenarioSpec* s) { s->overload.pool_capacity *= 2; });
     }
     return any;
   }
@@ -230,8 +236,8 @@ class Shrinker {
   // Halve fault probabilities and delay magnitudes per window.
   bool HalveMagnitudes(ScenarioSpec* spec) {
     bool any = false;
-    for (size_t i = 0; i < spec->faults.windows().size() && !Exhausted(); ++i) {
-      const FaultProfile& p = spec->faults.windows()[i].profile;
+    for (size_t i = 0; i < spec->faults->windows().size() && !Exhausted(); ++i) {
+      const FaultProfile& p = spec->faults->windows()[i].profile;
       FaultProfile halved = p;
       halved.drop_prob = p.drop_prob / 2;
       halved.burst_prob = p.burst_prob / 2;
@@ -247,8 +253,8 @@ class Shrinker {
       }
       ScenarioSpec candidate = *spec;
       FaultTimeline edited;
-      for (size_t k = 0; k < spec->faults.windows().size(); ++k) {
-        const auto& win = spec->faults.windows()[k];
+      for (size_t k = 0; k < spec->faults->windows().size(); ++k) {
+        const auto& win = spec->faults->windows()[k];
         edited.Add(win.start, win.end, k == i ? halved : win.profile);
       }
       candidate.faults = std::move(edited);
@@ -263,7 +269,7 @@ class Shrinker {
   // Halve the transfer and the time budget toward their floors.
   bool ShrinkWorkload(ScenarioSpec* spec) {
     bool any = false;
-    if (spec->transfer_bytes / 2 >= options_.min_transfer_bytes && !Exhausted()) {
+    if (spec->transfer_bytes / 2 >= kMinTransferBytes && !Exhausted()) {
       ScenarioSpec candidate = *spec;
       candidate.transfer_bytes /= 2;
       if (StillFails(candidate)) {
@@ -271,7 +277,7 @@ class Shrinker {
         any = true;
       }
     }
-    if (spec->time_limit / 2 >= options_.min_time_limit && !Exhausted()) {
+    if (spec->time_limit / 2 >= kMinTimeLimit && !Exhausted()) {
       ScenarioSpec candidate = *spec;
       candidate.time_limit /= 2;
       if (StillFails(candidate)) {

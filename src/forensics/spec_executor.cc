@@ -60,18 +60,18 @@ bool SpecRunReport::FromJson(const Json& json, SpecRunReport* out, std::string* 
   SpecRunReport r;
   if (!json.GetBool("ok", &r.ok) || !json.GetBool("completed", &r.completed) ||
       !json.GetBool("streams_match", &r.streams_match) ||
-      !json.GetUint("violations", &r.violations) || !json.GetUint("digest", &r.digest) ||
+      !json.GetInt("violations", &r.violations) || !json.GetInt("digest", &r.digest) ||
       !json.GetString("exception", &r.exception)) {
     *error = "report: field with wrong type";
     return false;
   }
-  // Optional (absent in pre-observability / pre-app reports): GetUint
+  // Optional (absent in pre-observability / pre-app reports): GetInt
   // leaves the zero default in place when the key is missing.
-  if (!json.GetUint("app_issued", &r.app_issued) ||
-      !json.GetUint("app_retries", &r.app_retries) ||
-      !json.GetUint("app_timeouts", &r.app_timeouts) ||
-      !json.GetUint("app_executions", &r.app_executions) ||
-      !json.GetUint("app_duplicates_suppressed", &r.app_duplicates_suppressed)) {
+  if (!json.GetInt("app_issued", &r.app_issued) ||
+      !json.GetInt("app_retries", &r.app_retries) ||
+      !json.GetInt("app_timeouts", &r.app_timeouts) ||
+      !json.GetInt("app_executions", &r.app_executions) ||
+      !json.GetInt("app_duplicates_suppressed", &r.app_duplicates_suppressed)) {
     *error = "report: field with wrong type";
     return false;
   }
@@ -98,9 +98,8 @@ SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
       ++spin;
     }
   }
-  const ChaosOptions opt = spec.ToChaosOptions();
   try {
-    const ChaosResult r = RunChaos(opt);
+    const ChaosResult r = RunChaos(spec);
     rep.ok = r.ok;
     rep.completed = r.juggler.completed && r.baseline.completed;
     rep.streams_match = r.streams_match;
@@ -124,11 +123,11 @@ SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
 
 Json CollectSpecObs(const ScenarioSpec& spec) {
   Json obs = Json::Object();
-  ChaosOptions opt = spec.ToChaosOptions();
+  ChaosOptions opt = spec;
   opt.obs.metrics = true;
   opt.obs.trace = true;
   try {
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
     obs.Set("metrics", r.obs.MetricsJson());
     obs.Set("trace", r.obs.TraceJson(ChaosTraceNamer()));
   } catch (const std::exception& e) {

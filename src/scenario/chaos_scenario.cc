@@ -100,7 +100,7 @@ NetFpgaOptions ChaosTestbedOptions(const ChaosOptions& opt, StackKind stack, Aud
   nopt.receiver.rx.driver = opt.rx_driver;
   // The hand-off wedge plant targets the receiver: that is where the data
   // stream (and so the integrity oracle) lives.
-  nopt.receiver.rx.debug_corec_wedge_depth = opt.plant_corec_wedge_depth;
+  nopt.receiver.rx.debug_corec_wedge = opt.plant_corec_wedge;
 
   JugglerConfig jcfg;
   jcfg.inseq_timeout = opt.inseq_timeout;
@@ -120,7 +120,7 @@ NetFpgaOptions ChaosTestbedOptions(const ChaosOptions& opt, StackKind stack, Aud
       break;
   }
 
-  nopt.faults = opt.use_explicit_faults ? opt.fault_override : DeriveChaosFaults(opt);
+  nopt.faults = opt.faults ? *opt.faults : DeriveChaosFaults(opt);
   return nopt;
 }
 
@@ -129,8 +129,7 @@ NetFpgaOptions ChaosTestbedOptions(const ChaosOptions& opt, StackKind stack, Aud
 // loop `fwd_link` runs on.
 std::unique_ptr<LinkFlapper> MaybeStartFlapper(const ChaosOptions& opt, EventLoop* loop,
                                                Link* fwd_link) {
-  std::vector<FlapWindow> windows =
-      opt.use_explicit_flaps ? opt.flap_override : DeriveChaosFlaps(opt);
+  std::vector<FlapWindow> windows = opt.flaps ? *opt.flaps : DeriveChaosFlaps(opt);
   if (windows.empty()) {
     return nullptr;
   }
@@ -356,11 +355,7 @@ void CheckLinksBounded(std::initializer_list<const Link*> links, const std::stri
   }
 }
 
-ChaosEngineResult RunChaosEngine(const ChaosOptions& opt, bool use_juggler) {
-  return RunChaosEngineStack(opt, use_juggler ? StackKind::kJuggler : StackKind::kVanilla);
-}
-
-ChaosEngineResult RunChaosEngineStack(const ChaosOptions& opt, StackKind stack) {
+ChaosEngineResult RunChaosEngine(const ChaosOptions& opt, StackKind stack) {
   ChaosEngineResult r;
   r.engine = EngineName(opt, stack);
 
@@ -599,8 +594,8 @@ std::vector<FlapWindow> DeriveChaosFlaps(const ChaosOptions& options) {
 
 ChaosResult RunChaos(const ChaosOptions& options) {
   ChaosResult result;
-  result.juggler = RunChaosEngine(options, /*use_juggler=*/true);
-  result.baseline = RunChaosEngine(options, /*use_juggler=*/false);
+  result.juggler = RunChaosEngine(options, StackKind::kJuggler);
+  result.baseline = RunChaosEngine(options, StackKind::kVanilla);
   if (options.app.enabled()) {
     // App workloads put engine-dependent byte totals on the wire (retries
     // are timing dependent), so the raw byte comparison does not apply; the

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ bool ParseFaultFamily(const char* name, FaultFamily* out);
 // Which receive stack a chaos run puts under test. kJuggler and kVanilla
 // are the historical pair RunChaos compares differentially; kPresto (the
 // linked-list Presto-paper GRO variant) is reachable through
-// RunChaosEngineStack for stack-matrix soaks.
+// RunChaosEngine for stack-matrix soaks.
 enum class StackKind : int {
   kJuggler = 0,
   kVanilla,
@@ -86,10 +87,10 @@ struct ChaosOptions {
   // stack — the rx_conformance matrix pins that.
   RxDriverKind rx_driver = RxDriverKind::kRss;
   // COREC fault plant (forensics tests only): wedge the receiver's in-order
-  // hand-off stage the first time >= this many completed claim slots park
-  // behind an incomplete head window (NicRxConfig::debug_corec_wedge_depth).
-  // 0 = off. Meaningless under rx_driver == kRss.
-  size_t plant_corec_wedge_depth = 0;
+  // hand-off stage at its first out-of-order stall, so claimed packets never
+  // reach GRO again and the stream integrity oracle fires
+  // (NicRxConfig::debug_corec_wedge). Meaningless under rx_driver == kRss.
+  bool plant_corec_wedge = false;
 
   // ---- Forensics knobs. Every default reproduces the historical run
   // ---- bit-for-bit; the fuzzer samples these, and a repro bundle pins them.
@@ -103,10 +104,9 @@ struct ChaosOptions {
   // When set, the explicit timelines replace the family-derived random
   // schedules entirely — the shrinker edits these without re-deriving
   // anything from the seed, which is what makes a minimized bundle stable.
-  bool use_explicit_faults = false;
-  FaultTimeline fault_override;
-  bool use_explicit_flaps = false;
-  std::vector<FlapWindow> flap_override;
+  // Unset = derive from (family, seed) (DeriveChaosFaults/DeriveChaosFlaps).
+  std::optional<FaultTimeline> faults;
+  std::optional<std::vector<FlapWindow>> flaps;
 
   // Enables the planted conservation-law defect in the Juggler config (see
   // JugglerConfig::debug_flush_accounting_skew). Forensics tests only.
@@ -205,7 +205,7 @@ FaultTimeline MakeChaosTimeline(FaultFamily family, uint64_t seed, TimeNs horizo
                                 int num_windows);
 
 // The exact schedules a (family, seed) chaos run derives internally, in
-// explicit form — what RunChaos applies when the override flags are off.
+// explicit form — what RunChaos applies when no explicit timeline is set.
 // The forensics shrinker materializes these once, then edits events freely
 // without disturbing any other seed-derived randomness.
 FaultTimeline DeriveChaosFaults(const ChaosOptions& options);
@@ -213,16 +213,12 @@ std::vector<FlapWindow> DeriveChaosFlaps(const ChaosOptions& options);
 
 ChaosResult RunChaos(const ChaosOptions& options);
 
-// One engine's half of RunChaos: the bulk transfer (or app workload) under
-// the configured fault schedule, with invariant checking, returning the
-// full per-run result (digest included). The forensics executor calls this
-// directly to run one spec against one engine.
-ChaosEngineResult RunChaosEngine(const ChaosOptions& options, bool use_juggler);
-
-// Same run against an arbitrary stack (RunChaosEngine is the kJuggler /
-// kVanilla special case): the stack-matrix soaks drive
-// {juggler, vanilla, presto} x workload through this.
-ChaosEngineResult RunChaosEngineStack(const ChaosOptions& options, StackKind stack);
+// One engine's half of RunChaos (which runs kJuggler and kVanilla): the
+// bulk transfer (or app workload) under the configured fault schedule, with
+// invariant checking, returning the full per-run result (digest included).
+// The forensics executor calls this to run one spec against one engine; the
+// stack-matrix soaks drive {juggler, vanilla, presto} x workload through it.
+ChaosEngineResult RunChaosEngine(const ChaosOptions& options, StackKind stack);
 
 // The TraceNamer that decodes chaos-run trace events with the repo's own
 // Table-2 flush-reason and §4 phase names (phase 4 decodes to "none").

@@ -152,30 +152,6 @@ bool Json::GetBool(const std::string& key, bool* out) const {
   return true;
 }
 
-bool Json::GetInt(const std::string& key, int64_t* out) const {
-  const Json* v = Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    return false;
-  }
-  *out = v->AsInt();
-  return true;
-}
-
-bool Json::GetUint(const std::string& key, uint64_t* out) const {
-  const Json* v = Find(key);
-  if (v == nullptr) {
-    return true;
-  }
-  if (!v->is_number()) {
-    return false;
-  }
-  *out = v->AsUint();
-  return true;
-}
-
 bool Json::GetDouble(const std::string& key, double* out) const {
   const Json* v = Find(key);
   if (v == nullptr) {

@@ -16,8 +16,10 @@
 #define JUGGLER_SRC_UTIL_JSON_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,10 +72,15 @@ class Json {
   // store it into *out; absent keys leave *out unchanged and return true,
   // present-but-wrong-kind keys return false (a malformed document).
   bool GetBool(const std::string& key, bool* out) const;
-  bool GetInt(const std::string& key, int64_t* out) const;
-  bool GetUint(const std::string& key, uint64_t* out) const;
   bool GetDouble(const std::string& key, double* out) const;
   bool GetString(const std::string& key, std::string* out) const;
+  // Integer field of any width: a value that does not fit T, or is not
+  // written as an integer, is a malformed document, never a silent wrap.
+  template <typename T>
+  bool GetInt(const std::string& key, T* out) const {
+    const Json* v = Find(key);
+    return v == nullptr || v->ToInteger(out);
+  }
 
   // Serialize. indent < 0: compact one-liner. indent >= 0: pretty-printed
   // with that many spaces per level.
@@ -85,6 +92,29 @@ class Json {
 
  private:
   void DumpTo(std::string* out, int indent, int depth) const;
+
+  template <typename T>
+  bool ToInteger(T* out) const {
+    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+    using Limits = std::numeric_limits<T>;
+    switch (kind_) {
+      case Kind::kInt:
+        if (int_ < 0 ? int_ < static_cast<int64_t>(Limits::min())
+                     : static_cast<uint64_t>(int_) > static_cast<uint64_t>(Limits::max())) {
+          return false;
+        }
+        *out = static_cast<T>(int_);
+        return true;
+      case Kind::kUint:
+        if (uint_ > static_cast<uint64_t>(Limits::max())) {
+          return false;
+        }
+        *out = static_cast<T>(uint_);
+        return true;
+      default:
+        return false;
+    }
+  }
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;

@@ -52,7 +52,7 @@ void RunMatrixForStack(StackKind stack) {
       opt.seed = seed;
       opt.family = FaultFamily::kMixed;
       opt.app = SmallWorkload(kind);
-      const ChaosEngineResult r = RunChaosEngineStack(opt, stack);
+      const ChaosEngineResult r = RunChaosEngine(opt, stack);
       ExpectClean(r, CellName(stack, kind, seed));
     }
   }
@@ -71,7 +71,7 @@ TEST(AppChaosTest, ReplicationCommitBarrierSurvivesChaos) {
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(AppWorkloadKind::kReplication);
     opt.app.sessions = 3;
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
     ExpectClean(r, CellName(StackKind::kJuggler, AppWorkloadKind::kReplication, seed));
   }
 }
@@ -108,7 +108,7 @@ TEST(AppChaosTest, FaultsExerciseRetriesAndDedup) {
     opt.family = FaultFamily::kLinkFlap;
     opt.app = SmallWorkload(AppWorkloadKind::kRpc);
     opt.app.retry.attempt_timeout = Ms(2);
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
     ExpectClean(r, CellName(StackKind::kJuggler, AppWorkloadKind::kRpc, seed));
     retries += r.app.retries;
     dedup += r.app.duplicates_suppressed;
@@ -123,8 +123,8 @@ TEST(AppChaosTest, SameSeedSameDigest) {
     opt.seed = 17;
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(kind);
-    const ChaosEngineResult a = RunChaosEngine(opt, /*use_juggler=*/true);
-    const ChaosEngineResult b = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult a = RunChaosEngine(opt, StackKind::kJuggler);
+    const ChaosEngineResult b = RunChaosEngine(opt, StackKind::kJuggler);
     EXPECT_EQ(a.digest, b.digest) << AppWorkloadKindName(kind);
   }
 }
@@ -137,7 +137,7 @@ TEST(AppChaosTest, DigestInvariantAcrossShardCounts) {
     opt.seed = 23;
     opt.family = FaultFamily::kMixed;
     opt.app = SmallWorkload(kind);
-    const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+    const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
     ExpectClean(r, CellName(StackKind::kJuggler, kind, 23));
   }
 }
@@ -150,7 +150,7 @@ TEST(AppChaosTest, MetricsCarryAppAndPerConnectionTcpCounters) {
   opt.family = FaultFamily::kMixed;
   opt.app = SmallWorkload(AppWorkloadKind::kRpc);
   opt.obs.metrics = true;
-  const ChaosEngineResult r = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_EQ(r.violations, 0u);
   const MetricsRegistry& m = r.obs.metrics;
   EXPECT_EQ(m.CounterValue("app.issued", "client"), r.app.issued);

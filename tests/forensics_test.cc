@@ -6,7 +6,9 @@
 
 #include <iterator>
 #include <string>
+#include <utility>
 
+#include "src/fault/fault_json.h"
 #include "src/forensics/failure_signature.h"
 #include "src/forensics/fuzz_supervisor.h"
 #include "src/forensics/repro_bundle.h"
@@ -120,6 +122,56 @@ TEST(ScenarioSpecTest, FromJsonRejectsBadDocuments) {
   Json bad_app_range = with_app.ToJson();
   bad_app_range.Set("app_max_attempts", Json::Uint(0));
   EXPECT_FALSE(ScenarioSpec::FromJson(bad_app_range, &out, &error));
+}
+
+// Integers that do not fit the field they are stored in make the document
+// malformed; they never wrap silently (2^32 + 5 is not a jitter of 5%).
+TEST(ScenarioSpecTest, FromJsonRejectsIntegersThatDoNotFitTheirField) {
+  constexpr uint64_t k2To32 = 1ULL << 32;
+  ScenarioSpec with_app;
+  with_app.app.kind = AppWorkloadKind::kRpc;
+  const Json good = with_app.ToJson();
+  ScenarioSpec out;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::FromJson(good, &out, &error)) << error;
+
+  const std::pair<const char*, Json> kBad[] = {
+      {"app_jitter_pct", Json::Uint(k2To32 + 5)},
+      {"app_sessions", Json::Uint(k2To32 + 1)},
+      {"app_requests_per_session", Json::Uint(k2To32 + 2)},
+      {"app_max_attempts", Json::Uint(k2To32 + 3)},
+      {"num_windows", Json::Uint(k2To32 + 2)},
+      {"num_windows", Json::Int(-(static_cast<int64_t>(k2To32) - 2))},
+      {"seed", Json::Int(-1)},
+      {"time_limit_ns", Json::Uint(~0ULL)},
+  };
+  for (const auto& [key, value] : kBad) {
+    Json doc = good;
+    doc.Set(key, value);
+    EXPECT_FALSE(ScenarioSpec::FromJson(doc, &out, &error)) << key << " = " << value.Dump();
+  }
+
+  // The widest value that fits still parses.
+  Json widest = good;
+  widest.Set("app_sessions", Json::Uint(k2To32 - 1));
+  ASSERT_TRUE(ScenarioSpec::FromJson(widest, &out, &error)) << error;
+  EXPECT_EQ(out.app.sessions, 0xFFFFFFFFu);
+
+  // The same holds inside the fault and overload timelines.
+  FaultProfile profile;
+  profile.burst_prob = 0.01;
+  for (const char* key : {"burst_len_min", "burst_len_max"}) {
+    Json doc = FaultProfileToJson(profile);
+    doc.Set(key, Json::Uint(k2To32 + 4));
+    FaultProfile parsed;
+    EXPECT_FALSE(FaultProfileFromJson(doc, &parsed, &error)) << key;
+  }
+  for (const char* key : {"flows", "packets_per_flow"}) {
+    Json doc = OverloadWindowToJson(OverloadWindow{});
+    doc.Set(key, Json::Uint(k2To32 + 4));
+    OverloadWindow parsed;
+    EXPECT_FALSE(OverloadWindowFromJson(doc, &parsed, &error)) << key;
+  }
 }
 
 // App-workload fields ride the spec only when a workload is enabled:
@@ -274,17 +326,38 @@ TEST(ScenarioSpecTest, RetiredShardKeysStillParseAndRoundTrip) {
 // The sampler still consumes the main-stream draws the retired shard-count
 // and shard-divergence knobs used, so a pinned fuzz seed samples the same
 // specs it always did. Each spec's seed is drawn first, after every draw the
-// previous spec made; dropping a draw shifts all of these.
+// previous spec made; dropping a draw shifts all of these. The second column
+// pins an FNV-1a over each spec's compact JSON, so every sampled field (and
+// the document's key order and emit rules) is pinned too, not only the seed.
 TEST(ScenarioSpecTest, SamplerKeepsPinnedSeedSequence) {
-  constexpr uint64_t kPinned[] = {
-      0xb358faf74ef9765aULL, 0xf0600caa8d7589d1ULL, 0x47f4a13a670d89aaULL,
-      0xeb246dd0cc16bcbeULL, 0xbe7d65e36039b192ULL, 0x837389f54419c77eULL,
-      0x645a3a210b1bb4a0ULL, 0x4152ebd2c8af508aULL,
+  struct Pinned {
+    uint64_t seed;
+    uint64_t json_digest;
+  };
+  constexpr Pinned kPinned[] = {
+      {0xb358faf74ef9765aULL, 0x9ef9900477df82fbULL},
+      {0xf0600caa8d7589d1ULL, 0xcde8333f00581ed6ULL},
+      {0x47f4a13a670d89aaULL, 0x54527be571f1ec80ULL},
+      {0xeb246dd0cc16bcbeULL, 0xaeac3ca8eecbd775ULL},
+      {0xbe7d65e36039b192ULL, 0xcbcd60f1e7cce833ULL},
+      {0x837389f54419c77eULL, 0x57bc7528c091b3dcULL},
+      {0x645a3a210b1bb4a0ULL, 0x76e4821e98b60341ULL},
+      {0x4152ebd2c8af508aULL, 0xe67f41473bacfd4aULL},
+  };
+  auto fnv1a = [](const std::string& text) {
+    uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : text) {
+      h = (h ^ c) * 1099511628211ULL;
+    }
+    return h;
   };
   Rng rng(7);
   const SampleLimits limits;
   for (size_t i = 0; i < std::size(kPinned); ++i) {
-    EXPECT_EQ(SampleScenarioSpec(&rng, limits).seed, kPinned[i]) << "spec " << i;
+    const ScenarioSpec spec = SampleScenarioSpec(&rng, limits);
+    EXPECT_EQ(spec.seed, kPinned[i].seed) << "spec " << i;
+    EXPECT_EQ(fnv1a(spec.ToJson().Dump()), kPinned[i].json_digest)
+        << "spec " << i << ": " << spec.ToJson().Dump();
   }
 }
 

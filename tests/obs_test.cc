@@ -137,12 +137,12 @@ ChaosOptions ObsChaosOptions() {
 // The run collects a non-empty metrics snapshot and trace, and a rerun of
 // the same seed reproduces both byte for byte.
 TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
-  const ChaosEngineResult one = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
+  const ChaosEngineResult one = RunChaosEngine(ObsChaosOptions(), StackKind::kJuggler);
   ASSERT_TRUE(one.completed);
   ASSERT_FALSE(one.obs.metrics.empty());
   ASSERT_FALSE(one.obs.events.empty());
 
-  const ChaosEngineResult again = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
+  const ChaosEngineResult again = RunChaosEngine(ObsChaosOptions(), StackKind::kJuggler);
   EXPECT_EQ(again.digest, one.digest);
   EXPECT_EQ(again.obs.MetricsJson().Dump(1), one.obs.MetricsJson().Dump(1))
       << "metrics JSON not byte-identical across reruns";
@@ -152,7 +152,7 @@ TEST(ObsDeterminismTest, MetricsAndTraceByteIdenticalAcrossShardCounts) {
 }
 
 TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), StackKind::kJuggler);
   ASSERT_GT(r.obs.events.size(), 1u);
   for (size_t i = 1; i < r.obs.events.size(); ++i) {
     const TraceEvent& p = r.obs.events[i - 1];
@@ -164,7 +164,7 @@ TEST(ObsDeterminismTest, MergedEventsAreSortedByTimeShardSeq) {
 }
 
 TEST(ObsDeterminismTest, LegacyEngineCollectsObsToo) {
-  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), /*use_juggler=*/true);
+  const ChaosEngineResult r = RunChaosEngine(ObsChaosOptions(), StackKind::kJuggler);
   EXPECT_TRUE(r.obs.metrics_enabled);
   EXPECT_TRUE(r.obs.trace_enabled);
   EXPECT_FALSE(r.obs.metrics.empty());
@@ -357,7 +357,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   // reproducibility).
   ChaosOptions opt = ObsChaosOptions();
   opt.rx_driver = RxDriverKind::kCorec;
-  const ChaosEngineResult one = RunChaosEngine(opt, /*use_juggler=*/true);
+  const ChaosEngineResult one = RunChaosEngine(opt, StackKind::kJuggler);
   ASSERT_TRUE(one.completed);
   const std::string metrics1 = one.obs.MetricsJson().Dump(1);
   EXPECT_NE(metrics1.find("nic.corec_claims"), std::string::npos)
@@ -367,7 +367,7 @@ TEST(ObsDeterminismTest, CorecCountersShardInvariantAndOutOfDigest) {
   ChaosOptions dark = ObsChaosOptions();
   dark.rx_driver = RxDriverKind::kCorec;
   dark.obs = ObsConfig{};  // metrics + trace off
-  const ChaosEngineResult no_obs = RunChaosEngine(dark, /*use_juggler=*/true);
+  const ChaosEngineResult no_obs = RunChaosEngine(dark, StackKind::kJuggler);
   EXPECT_EQ(no_obs.digest, one.digest) << "collecting COREC counters moved the digest";
   EXPECT_EQ(no_obs.stream_digest, one.stream_digest);
 }

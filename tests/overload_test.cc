@@ -66,7 +66,7 @@ TEST(OverloadChaosTest, StackMatrixSurvivesEveryPressureKind) {
   for (StackKind stack : {StackKind::kJuggler, StackKind::kVanilla, StackKind::kPresto}) {
     for (OverloadKind kind : kAllKinds) {
       const ChaosOptions opt = BaseOverloadOptions(kind);
-      const ChaosEngineResult r = RunChaosEngineStack(opt, stack);
+      const ChaosEngineResult r = RunChaosEngine(opt, stack);
       EXPECT_TRUE(r.completed) << r.engine << " under " << OverloadKindName(kind);
       EXPECT_EQ(r.violations, 0u) << r.engine << " under " << OverloadKindName(kind)
                                   << (r.violation_messages.empty()
@@ -89,7 +89,7 @@ TEST(OverloadChaosTest, StackMatrixSurvivesEveryPressureKind) {
 TEST(OverloadChaosTest, DigestInvariantAcrossShardCounts) {
   for (OverloadKind kind : kAllKinds) {
     const ChaosOptions opt = BaseOverloadOptions(kind);
-    const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+    const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
     ASSERT_TRUE(r.completed) << OverloadKindName(kind);
     ASSERT_EQ(r.violations, 0u) << OverloadKindName(kind);
     EXPECT_EQ(r.overload_pool_leaked, 0) << OverloadKindName(kind);
@@ -98,12 +98,12 @@ TEST(OverloadChaosTest, DigestInvariantAcrossShardCounts) {
 
 TEST(OverloadChaosTest, DigestIsReproducibleAndSensitive) {
   const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn);
-  const ChaosEngineResult a = RunChaosEngineStack(opt, StackKind::kJuggler);
-  const ChaosEngineResult b = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult a = RunChaosEngine(opt, StackKind::kJuggler);
+  const ChaosEngineResult b = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_EQ(a.digest, b.digest);
   ChaosOptions changed = opt;
   changed.overload.windows[0].flows += 1;
-  const ChaosEngineResult c = RunChaosEngineStack(changed, StackKind::kJuggler);
+  const ChaosEngineResult c = RunChaosEngine(changed, StackKind::kJuggler);
   EXPECT_NE(a.digest, c.digest) << "overload intensity must feed the digest";
 }
 
@@ -115,7 +115,7 @@ TEST(OverloadChaosTest, DigestIsReproducibleAndSensitive) {
 
 TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
   const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast, /*pool_cap=*/96);
-  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violations, 0u) << (r.violation_messages.empty()
                                       ? ""
@@ -128,7 +128,7 @@ TEST(OverloadChaosTest, TightCapShedsVisiblyAndConserves) {
 TEST(OverloadChaosTest, RingCapTailDropsAreCountedNotFatal) {
   ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast);
   opt.overload.ring_capacity = 16;
-  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violations, 0u);
   EXPECT_GT(r.overload_ring_drops, 0u) << "a 16-slot ring must tail-drop the storm";
@@ -144,7 +144,7 @@ TEST(OverloadChaosTest, RingCapTailDropsAreCountedNotFatal) {
 TEST(OverloadChaosTest, PressureOutlivingTheWorkloadStaysClean) {
   ChaosOptions opt = BaseOverloadOptions(OverloadKind::kChurn);
   opt.transfer_bytes = 150'000;  // finishes well before the window's Ms(15) end
-  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.violations, 0u)
       << (r.violation_messages.empty() ? "" : r.violation_messages.front());
@@ -158,7 +158,7 @@ TEST(OverloadChaosTest, PressureOutlivingTheWorkloadStaysClean) {
 TEST(OverloadChaosTest, ThreadPoolCapacityRestoredAfterLegacyRun) {
   const size_t before = PacketPool::ThreadLocal().capacity();
   const ChaosOptions opt = BaseOverloadOptions(OverloadKind::kBrownout);
-  const ChaosEngineResult r = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult r = RunChaosEngine(opt, StackKind::kJuggler);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(PacketPool::ThreadLocal().capacity(), before);
 }
@@ -169,8 +169,8 @@ TEST(OverloadChaosTest, ThreadPoolCapacityRestoredAfterLegacyRun) {
 TEST(OverloadChaosTest, MetricsSnapshotIsShardInvariant) {
   ChaosOptions opt = BaseOverloadOptions(OverloadKind::kIncast);
   opt.obs.metrics = true;
-  const ChaosEngineResult r1 = RunChaosEngineStack(opt, StackKind::kJuggler);
-  const ChaosEngineResult r2 = RunChaosEngineStack(opt, StackKind::kJuggler);
+  const ChaosEngineResult r1 = RunChaosEngine(opt, StackKind::kJuggler);
+  const ChaosEngineResult r2 = RunChaosEngine(opt, StackKind::kJuggler);
   ASSERT_TRUE(r1.obs.metrics_enabled);
   ASSERT_TRUE(r2.obs.metrics_enabled);
   EXPECT_EQ(r1.obs.MetricsJson().Dump(2), r2.obs.MetricsJson().Dump(2));
@@ -419,10 +419,16 @@ TEST(OverloadSpecTest, SpecCarriesOverloadIntoChaosOptions) {
   w.start = Ms(6);
   w.end = Ms(11);
   w.kind = OverloadKind::kIncast;
-  spec.overload_windows.push_back(w);
-  spec.overload_pool_capacity = 2'222;
-  spec.overload_ring_capacity = 128;
-  const ChaosOptions opt = spec.ToChaosOptions();
+  spec.overload.windows.push_back(w);
+  spec.overload.pool_capacity = 2'222;
+  spec.overload.ring_capacity = 128;
+  // The options RunChaos(spec) runs with, after a JSON round trip.
+  Json parsed;
+  std::string error;
+  ASSERT_TRUE(Json::Parse(spec.ToJson().Dump(), &parsed, &error)) << error;
+  ScenarioSpec back;
+  ASSERT_TRUE(ScenarioSpec::FromJson(parsed, &back, &error)) << error;
+  const ChaosOptions& opt = back;
   ASSERT_EQ(opt.overload.windows.size(), 1u);
   EXPECT_TRUE(opt.overload.windows[0] == w);
   EXPECT_EQ(opt.overload.pool_capacity, 2'222u);
@@ -438,8 +444,8 @@ TEST(OverloadSpecTest, SampledOverloadSpecsAreDeterministicAndWellFormed) {
     const ScenarioSpec s1 = SampleScenarioSpec(&r1, limits);
     const ScenarioSpec s2 = SampleScenarioSpec(&r2, limits);
     ASSERT_EQ(s1.ToJson().Dump(2), s2.ToJson().Dump(2)) << "spec " << i;
-    ASSERT_FALSE(s1.overload_windows.empty()) << "overload_prob=1 must emit windows";
-    for (const OverloadWindow& w : s1.overload_windows) {
+    ASSERT_FALSE(s1.overload.windows.empty()) << "overload_prob=1 must emit windows";
+    for (const OverloadWindow& w : s1.overload.windows) {
       EXPECT_LT(w.start, w.end);
       EXPECT_GE(w.flows, 1u);
       EXPECT_GE(w.packets_per_flow, 1u);
@@ -448,7 +454,7 @@ TEST(OverloadSpecTest, SampledOverloadSpecsAreDeterministicAndWellFormed) {
       EXPECT_LE(w.cap_pct, 100u);
       EXPECT_LT(w.end, s1.time_limit / 2) << "the tail must stay pressure-free";
     }
-    EXPECT_GE(s1.overload_pool_capacity, 1'024u);
+    EXPECT_GE(s1.overload.pool_capacity, 1'024u);
 
     // Round trip through JSON, byte-stably, with the overload block intact.
     Json parsed;
@@ -469,7 +475,7 @@ TEST(OverloadSpecTest, SampledOverloadSpecsAreDeterministicAndWellFormed) {
     return SampleScenarioSpec(&r, limits);
   }();
   const ScenarioSpec without = SampleScenarioSpec(&r3, no_ovl);
-  EXPECT_TRUE(without.overload_windows.empty());
+  EXPECT_TRUE(without.overload.windows.empty());
   EXPECT_EQ(with.seed, without.seed);
   EXPECT_EQ(with.transfer_bytes, without.transfer_bytes);
   EXPECT_EQ(static_cast<int>(with.family), static_cast<int>(without.family));

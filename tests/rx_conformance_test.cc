@@ -58,17 +58,17 @@ std::vector<NamedScenario> ConformanceScenarios() {
   std::vector<NamedScenario> out;
 
   NamedScenario fig12{"fig12_pure_reorder", BaseOptions(21, FaultFamily::kDropBurst)};
-  fig12.opt.use_explicit_faults = true;  // empty timeline: reordering only
+  fig12.opt.faults = FaultTimeline();  // empty timeline: reordering only
   out.push_back(fig12);
 
   NamedScenario fig13{"fig13_deep_reorder", BaseOptions(22, FaultFamily::kDropBurst)};
-  fig13.opt.use_explicit_faults = true;
+  fig13.opt.faults = FaultTimeline();
   fig13.opt.reorder_delay = Us(600);
   fig13.opt.ofo_timeout = Us(700);
   out.push_back(fig13);
 
   NamedScenario fig14{"fig14_tight_coalesce", BaseOptions(23, FaultFamily::kDropBurst)};
-  fig14.opt.use_explicit_faults = true;
+  fig14.opt.faults = FaultTimeline();
   fig14.opt.int_coalesce = Us(30);
   fig14.opt.inseq_timeout = Us(20);
   out.push_back(fig14);
@@ -80,7 +80,7 @@ std::vector<NamedScenario> ConformanceScenarios() {
 
 ChaosEngineResult RunCell(ChaosOptions opt, RxDriverKind driver, StackKind stack) {
   opt.rx_driver = driver;
-  return RunChaosEngineStack(opt, stack);
+  return RunChaosEngine(opt, stack);
 }
 
 void ExpectClean(const ChaosEngineResult& r, const std::string& where) {
@@ -202,7 +202,7 @@ TEST(RxConformanceTest, CorecCountersAreLiveAndConsistent) {
 
 // A COREC-only defect with a known identity: the in-order hand-off stage
 // wedges permanently at its first out-of-order stall
-// (NicRxConfig::debug_corec_wedge_depth). The forensics pipeline must find
+// (NicRxConfig::debug_corec_wedge). The forensics pipeline must find
 // it, shrink it WITHOUT losing the corec axis (SimplifyRxDriver's rss
 // candidate completes cleanly, so it must be rejected), and replay the
 // bundle to the identical fingerprint, twice.
