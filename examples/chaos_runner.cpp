@@ -26,13 +26,13 @@
 // --trace collects the Juggler engine's flight-recorder events across every
 // run into one trace file (load it at ui.perfetto.dev or chrome://tracing).
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "examples/runner_args.h"
 #include "src/scenario/chaos_scenario.h"
 
 using namespace juggler;
@@ -102,24 +102,8 @@ int main(int argc, char** argv) {
   std::vector<FaultFamily> families(std::begin(kAllFamilies), std::end(kAllFamilies));
 
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // Counts below 1 would run nothing and still report PASS.
-    auto count = [&](const char* flag) -> int {
-      const char* text = next(flag);
-      char* end = nullptr;
-      const long v = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
-        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
-        std::exit(2);
-      }
-      return static_cast<int>(v);
-    };
+    auto next = [&](const char* flag) { return NextArg(argc, argv, &i, flag); };
+    auto count = [&](const char* flag) { return ParseCount(flag, next(flag)); };
     if (std::strncmp(argv[i], "--trace=", 8) == 0) {
       trace_path = argv[i] + 8;
     } else if (std::strcmp(argv[i], "--trace") == 0) {
@@ -131,9 +115,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--seeds") == 0) {
       seeds = count("--seeds");
     } else if (std::strcmp(argv[i], "--base-seed") == 0) {
-      base_seed = std::strtoull(next("--base-seed"), nullptr, 10);
+      base_seed = ParseU64("--base-seed", next("--base-seed"));
     } else if (std::strcmp(argv[i], "--bytes") == 0) {
-      bytes = std::strtoull(next("--bytes"), nullptr, 10);
+      bytes = ParseU64("--bytes", next("--bytes"));
       if (bytes == 0) {
         std::fprintf(stderr, "--bytes must be > 0\n");
         return 2;

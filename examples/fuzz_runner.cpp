@@ -18,12 +18,12 @@
 // Exit status: 0 when every spec ran clean, 1 when any finding was made.
 // Replay a bundle with: ./build/examples/replay_runner --bundle <file>.json
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "examples/runner_args.h"
 #include "src/forensics/fuzz_supervisor.h"
 
 using namespace juggler;
@@ -33,29 +33,12 @@ int main(int argc, char** argv) {
   opt.verbose = true;
 
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // A count below 1 would run nothing and still report PASS; a timeout
-    // below 1 would classify every child as a deadlock.
-    auto count = [&](const char* flag) -> int {
-      const char* text = next(flag);
-      char* end = nullptr;
-      const long v = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
-        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
-        std::exit(2);
-      }
-      return static_cast<int>(v);
-    };
+    auto next = [&](const char* flag) { return NextArg(argc, argv, &i, flag); };
+    auto count = [&](const char* flag) { return ParseCount(flag, next(flag)); };
     if (std::strcmp(argv[i], "--specs") == 0) {
       opt.num_specs = count("--specs");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      opt.seed = std::strtoull(next("--seed"), nullptr, 10);
+      opt.seed = ParseU64("--seed", next("--seed"));
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       opt.timeout_ms = count("--timeout-ms");
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {

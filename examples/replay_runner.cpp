@@ -17,12 +17,12 @@
 // JSON) to FILE; when the bundle carries none, the spec is re-run in-process
 // with tracing on — cooperative failure kinds only.
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "examples/runner_args.h"
 #include "src/forensics/repro_bundle.h"
 #include "src/obs/flight_recorder.h"
 
@@ -35,25 +35,8 @@ int main(int argc, char** argv) {
   int timeout_ms = 30'000;
 
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    // A count below 1 would run nothing and still report PASS; a timeout
-    // below 1 would classify every child as a deadlock.
-    auto count = [&](const char* flag) -> int {
-      const char* text = next(flag);
-      char* end = nullptr;
-      const long v = std::strtol(text, &end, 10);
-      if (end == text || *end != '\0' || v < 1 || v > INT_MAX) {
-        std::fprintf(stderr, "%s must be a positive integer, got \"%s\"\n", flag, text);
-        std::exit(2);
-      }
-      return static_cast<int>(v);
-    };
+    auto next = [&](const char* flag) { return NextArg(argc, argv, &i, flag); };
+    auto count = [&](const char* flag) { return ParseCount(flag, next(flag)); };
     if (std::strcmp(argv[i], "--bundle") == 0) {
       bundle_path = next("--bundle");
     } else if (std::strcmp(argv[i], "--repeat") == 0) {

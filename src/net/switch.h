@@ -2,13 +2,16 @@
 // optional default uplink group balanced by an LbPolicy. Output queueing is
 // delegated to the Link attached to each port, so congestion, buffer
 // build-up and drops happen where they do in a real switch.
+//
+// Every fabric hop runs one route lookup, so the exact-match table is a
+// flat open-addressing array (Fibonacci hash, linear probing, at most a
+// quarter full): one multiply and usually one probe, hit or miss.
 
 #ifndef JUGGLER_SRC_NET_SWITCH_H_
 #define JUGGLER_SRC_NET_SWITCH_H_
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/net/link.h"
@@ -23,7 +26,8 @@ class Switch : public PacketSink {
       : name_(std::move(name)), uplink_policy_(uplink_policy) {}
 
   // Exact-match route: packets to `dst_ip` exit through `port`.
-  void AddRoute(uint32_t dst_ip, PacketSink* port) { routes_[dst_ip] = port; }
+  // Any 32-bit address is a valid key; re-adding an address overwrites it.
+  void AddRoute(uint32_t dst_ip, PacketSink* port);
 
   // Default route: packets with no exact match are balanced across these.
   // Pass `link` when the port is a Link so congestion-aware policies
@@ -37,12 +41,27 @@ class Switch : public PacketSink {
   const std::string& name() const { return name_; }
 
  private:
+  // A null port marks an empty table entry (routes never point at null).
+  struct Route {
+    uint32_t dst_ip = 0;
+    PacketSink* port = nullptr;
+  };
+
+  size_t RouteHome(uint32_t dst_ip) const {
+    return static_cast<size_t>((dst_ip * 0x9E3779B97F4A7C15ULL) >> route_shift_);
+  }
+  // The entry holding `dst_ip`, or the empty entry where it would go.
+  Route& FindRoute(uint32_t dst_ip);
+
   std::string name_;
   LbPolicy uplink_policy_;
-  std::unordered_map<uint32_t, PacketSink*> routes_;
+  std::vector<Route> routes_;  // power-of-two size; empty until the first route
+  int route_shift_ = 64;       // 64 - log2(routes_.size())
+  size_t num_routes_ = 0;
   std::vector<PacketSink*> uplinks_;
   std::vector<const Link*> uplink_links_;  // nullable congestion probes
   std::unique_ptr<LoadBalancer> balancer_;
+  std::vector<int64_t> uplink_depths_;  // flowlet scratch, reused per packet
   uint64_t forwarded_ = 0;
   uint64_t no_route_ = 0;
 };
