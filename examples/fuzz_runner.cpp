@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--timeout-ms") == 0) {
       opt.timeout_ms = count("--timeout-ms");
     } else if (std::strcmp(argv[i], "--budget-ms") == 0) {
-      opt.time_budget_ms = std::atoll(next("--budget-ms"));
+      opt.time_budget_ms = count("--budget-ms");
     } else if (std::strcmp(argv[i], "--out") == 0) {
       opt.out_dir = next("--out");
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
@@ -52,17 +52,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
       opt.verbose = false;
     } else if (std::strcmp(argv[i], "--app-prob") == 0) {
-      opt.limits.app_prob = std::atof(next("--app-prob"));
-      if (opt.limits.app_prob < 0.0 || opt.limits.app_prob > 1.0) {
-        std::fprintf(stderr, "--app-prob must be in [0, 1]\n");
-        return 2;
-      }
+      opt.limits.app_prob = ParseProbability("--app-prob", next("--app-prob"));
     } else if (std::strcmp(argv[i], "--overload-prob") == 0) {
-      opt.limits.overload_prob = std::atof(next("--overload-prob"));
-      if (opt.limits.overload_prob < 0.0 || opt.limits.overload_prob > 1.0) {
-        std::fprintf(stderr, "--overload-prob must be in [0, 1]\n");
-        return 2;
-      }
+      opt.limits.overload_prob = ParseProbability("--overload-prob", next("--overload-prob"));
     } else if (std::strcmp(argv[i], "--plant-app-stale-token") == 0) {
       opt.plant_app_stale_token = true;  // validates the app forensics path
     } else {

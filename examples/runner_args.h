@@ -52,6 +52,20 @@ inline uint64_t ParseU64(const char* flag, const char* text) {
   return static_cast<uint64_t>(v);
 }
 
+// A probability in [0, 1], written as a plain decimal: no sign, no leading
+// space, no trailing text (atof would read "1.5x" as 1.5 and "x" as 0).
+inline double ParseProbability(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  const bool plain = std::isdigit(static_cast<unsigned char>(text[0])) != 0 || text[0] == '.';
+  if (!plain || end == text || *end != '\0' || errno == ERANGE || !(v >= 0.0 && v <= 1.0)) {
+    std::fprintf(stderr, "%s must be a probability in [0, 1], got \"%s\"\n", flag, text);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace juggler
 
 #endif  // JUGGLER_EXAMPLES_RUNNER_ARGS_H_

@@ -10,7 +10,7 @@ namespace {
 
 // Join run i with following runs while they are contiguous, metadata-equal
 // and the merge stays under the segment cap.
-void CoalesceForward(std::vector<SegmentBuilder>* queue, size_t i, uint32_t max_payload) {
+void CoalesceForward(RunQueue* queue, size_t i, uint32_t max_payload) {
   while (i + 1 < queue->size()) {
     SegmentBuilder& cur = (*queue)[i];
     SegmentBuilder& next = (*queue)[i + 1];
@@ -20,7 +20,7 @@ void CoalesceForward(std::vector<SegmentBuilder>* queue, size_t i, uint32_t max_
       return;
     }
     cur.Append(std::move(next));
-    queue->erase(queue->begin() + static_cast<long>(i) + 1);
+    queue->erase(i + 1);
   }
 }
 
@@ -31,6 +31,32 @@ bool RunReady(const SegmentBuilder& run, uint32_t max_payload) {
 }
 
 }  // namespace
+
+size_t RunInsertIndex(const RunQueue& queue, Seq seq) {
+  // Gallop: runs at [hi, size) start after seq; stop at the first probe
+  // that does not, which bounds the answer below.
+  size_t lo = 0;
+  size_t hi = queue.size();
+  size_t stride = 1;
+  while (hi > 0) {
+    const size_t probe = hi > stride ? hi - stride : 0;
+    if (!SeqAfter(queue[probe].start_seq(), seq)) {
+      lo = probe + 1;
+      break;
+    }
+    hi = probe;
+    stride *= 2;
+  }
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (SeqAfter(queue[mid].start_seq(), seq)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
 
 const char* FlowPhaseName(FlowPhase phase) {
   switch (phase) {
@@ -174,7 +200,7 @@ TimeNs Juggler::FlushPrefix(FlowEntry* entry, bool ready_only, FlushReason reaso
         ready_only ? (run.needs_flush() ? FlushReason::kFlags : FlushReason::kSizeLimit) : reason;
     NoteFlushed(entry, r, run.payload_len());
     Deliver(run.Take(), r);
-    queue.erase(queue.begin());
+    queue.pop_front();
     cost += costs_->gro_flush_per_segment;
     flushed = true;
   }
@@ -235,21 +261,19 @@ TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate)
     if (p.seq != entry->seq_next) {
       cost += costs_->juggler_ooo_insert;
     }
-    queue.emplace_back();
-    queue.back().Start(p);
+    queue.emplace_back().Start(p);
+    jstats_.max_ooo_runs = std::max<size_t>(jstats_.max_ooo_runs, 1);
     NoteEnqueued(entry, p.payload_len);
     return cost;
   }
 
-  // Search for the insert position from the tail: arriving packets carry
-  // recent sequence numbers, so the right spot is almost always at or near
-  // the back — O(1) in practice even when the queue holds many runs (§3.2).
-  cost += costs_->juggler_ooo_insert;
-  size_t idx = queue.size();  // insertion index among run starts
-  while (idx > 0 && SeqAfter(queue[idx - 1].start_seq(), p.seq)) {
-    --idx;
-    cost += costs_->juggler_ooo_search_per_run;
-  }
+  // Arriving packets carry recent sequence numbers, so the insert position
+  // is almost always at or near the back, where RunInsertIndex costs a
+  // compare or two (§3.2). The modelled cost is the kernel patch's
+  // tail-ward walk: one step per run after the insert index.
+  const size_t idx = RunInsertIndex(queue, p.seq);
+  cost += costs_->juggler_ooo_insert +
+          static_cast<TimeNs>(queue.size() - idx) * costs_->juggler_ooo_search_per_run;
   if (idx > 0) {
     SegmentBuilder& prev = queue[idx - 1];  // prev.start <= p.seq
     if (SeqBefore(p.seq, prev.end_seq())) {
@@ -280,7 +304,8 @@ TimeNs Juggler::InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate)
   }
   SegmentBuilder fresh;
   fresh.Start(p);
-  queue.insert(queue.begin() + static_cast<long>(idx), std::move(fresh));
+  queue.insert(idx, fresh);
+  jstats_.max_ooo_runs = std::max(jstats_.max_ooo_runs, queue.size());
   NoteEnqueued(entry, p.payload_len);
   CoalesceForward(&queue, idx, max_payload);
   return cost;
@@ -348,23 +373,14 @@ size_t Juggler::TryFoldRun(PacketPtr* packets, size_t count, TimeNs* cost) {
   if (runs == 0) {
     return 0;  // post-merge reactivation / first packet of a fresh entry
   }
-  // Locate the run whose tail the packet extends: the per-flow cursor (the
-  // run this flow's previous fold extended) first, else the tail-ward scan
-  // InsertPacket would make. Run end sequences are strictly increasing, so
-  // at most one run can match.
-  size_t j;
-  if (entry->fold_run_hint < runs && queue[entry->fold_run_hint].end_seq() == first.seq) {
-    j = entry->fold_run_hint;
-  } else {
-    size_t idx = runs;
-    while (idx > 0 && SeqAfter(queue[idx - 1].start_seq(), first.seq)) {
-      --idx;
-    }
-    if (idx == 0 || queue[idx - 1].end_seq() != first.seq) {
-      return 0;  // front insert, fresh run, or overlap: full path
-    }
-    j = idx - 1;
+  // Locate the run whose tail the packet extends with the search
+  // InsertPacket makes. Run end sequences are strictly increasing, so at
+  // most one run can match.
+  const size_t idx = RunInsertIndex(queue, first.seq);
+  if (idx == 0 || queue[idx - 1].end_seq() != first.seq) {
+    return 0;  // front insert, fresh run, or overlap: full path
   }
+  const size_t j = idx - 1;
   // A packet landing exactly on the next run's start is a duplicate to
   // Receive() (its byte range overlaps that run), not a tail merge.
   const bool has_next = j + 1 < runs;
@@ -446,14 +462,13 @@ size_t Juggler::TryFoldRun(PacketPtr* packets, size_t count, TimeNs* cost) {
   TimeNs per_packet = costs_->gro_per_packet;
   if (!head_in_seq) {
     // Receive() classifies these as out-of-order and reaches the run via
-    // InsertPacket's tail-ward scan: charge the identical insert + per-run
-    // search cost it would have accumulated.
+    // InsertPacket: charge the identical insert + per-run search cost it
+    // would have accumulated.
     stats_.ooo_packets += mtus;
     per_packet += costs_->juggler_ooo_insert +
                   static_cast<TimeNs>(runs - 1 - j) * costs_->juggler_ooo_search_per_run;
   }
   *cost += static_cast<TimeNs>(mtus) * per_packet;
-  entry->fold_run_hint = static_cast<uint32_t>(j);
   CoalesceForward(&queue, j, max_payload);
   if (head_in_seq && RunReady(queue.front(), max_payload)) {
     *cost += FlushPrefix(entry, /*ready_only=*/true, FlushReason::kFlags);
@@ -755,6 +770,7 @@ void PublishJugglerStats(const JugglerStats& stats, const std::string& label,
   registry->MaxGauge("juggler.max_active_list_len", label, stats.max_active_list_len);
   registry->MaxGauge("juggler.max_inactive_list_len", label, stats.max_inactive_list_len);
   registry->MaxGauge("juggler.max_loss_list_len", label, stats.max_loss_list_len);
+  registry->MaxGauge("juggler.max_ooo_runs", label, stats.max_ooo_runs);
 }
 
 }  // namespace juggler

@@ -35,6 +35,7 @@
 #include "src/gro/flow_table.h"
 #include "src/gro/gro_engine.h"
 #include "src/gro/segment_builder.h"
+#include "src/util/flat_fifo.h"
 #include "src/util/intrusive_list.h"
 #include "src/util/seq.h"
 
@@ -78,25 +79,36 @@ const char* FlowPhaseName(FlowPhase phase);
 inline constexpr int kFlowPhaseNone = 4;
 inline constexpr int kFlowPhaseCount = 4;
 
+// A flow's out-of-order queue of merged runs (see FlowEntry::ooo_queue).
+using RunQueue = FlatFifo<SegmentBuilder>;
+
+// Insert position of `seq` among the run starts: the index of the first run
+// whose start is after `seq` — what a tail-ward scan stepping past every such
+// run returns, found by galloping back from the tail (probes at distance
+// 1, 2, 4, ...) and then bisecting the last stride. Costs what that scan
+// costs when the answer is near the back, O(log runs) deep in the queue.
+// Exact whenever `seq` and the run starts lie within 2^31 of one another,
+// since then SeqAfter totally orders them across the 2^32 wrap.
+size_t RunInsertIndex(const RunQueue& queue, Seq seq);
+
 // One gro_table entry (struct flow_entry in §4.1).
 struct FlowEntry {
   FiveTuple key;
   FlowPhase phase = FlowPhase::kBuildUp;
   // Out-of-order queue: runs of merged contiguous packets, sorted by start
   // sequence. Contiguous same-metadata runs coalesce, so the queue stays as
-  // short as the number of distinct holes + metadata boundaries.
-  std::vector<SegmentBuilder> ooo_queue;
+  // short as the number of distinct holes + metadata boundaries. One
+  // contiguous buffer with a popped-prefix head index (FlatFifo): flushing
+  // the head run is O(1), and inserting or coalescing away run i shifts
+  // only the shorter side of i — late packets filling the oldest holes of a
+  // deep queue (the Fig. 13 two-lane pattern) move a few runs, not all.
+  RunQueue ooo_queue;
   TimeNs flush_timestamp = 0;
   Seq seq_next = 0;
   Seq lost_seq = 0;
   // Distinguishes reincarnations of the same five-tuple after eviction, so
   // auditors tracking per-flow history don't compare across generations.
   uint64_t generation = 0;
-  // Per-flow run cursor for the batch fold: index into ooo_queue of the run
-  // the last folded packet extended. Pure hint — validated (bounds + exact
-  // tail match) before use, so stale values after flushes, coalesces or
-  // inserts cost one failed compare, never correctness.
-  uint32_t fold_run_hint = 0;
   IntrusiveListNode list_node;
 };
 
@@ -116,6 +128,9 @@ struct JugglerStats {
   size_t max_active_list_len = 0;
   size_t max_inactive_list_len = 0;
   size_t max_loss_list_len = 0;
+  // Deepest any flow's OOO queue has been, in runs. Updated only where a new
+  // run enters a queue, so the merge and fold fast paths pay nothing for it.
+  size_t max_ooo_runs = 0;
   // Conservation-law counters for the invariant auditor: every payload byte
   // entering an OOO queue must leave it through a Deliver (in == out + held).
   uint64_t buffered_bytes_in = 0;
@@ -234,8 +249,12 @@ class Juggler : public GroEngine {
   TimeNs EvictEntry(FlowEntry* entry);
 
   // Inserts a data packet (seq >= seq_next, or build-up) into the OOO queue,
-  // merging/coalescing runs. Returns CPU cost; sets *duplicate when the
-  // packet overlapped an existing run and was delivered directly.
+  // merging/coalescing runs. The position comes from RunInsertIndex; the
+  // modelled cost stays juggler_ooo_insert plus juggler_ooo_search_per_run
+  // per run stepped over from the tail, since those constants price the
+  // kernel patch's list walk, not the simulator's search. Returns CPU cost;
+  // sets *duplicate when the packet overlapped an existing run and was
+  // delivered directly.
   TimeNs InsertPacket(FlowEntry* entry, const Packet& p, bool* duplicate);
 
   // Batch-fold fast path (see ReceiveBatch): folds a leading run of same-
@@ -294,8 +313,8 @@ class Juggler : public GroEngine {
 };
 
 // Snapshot a JugglerStats into `registry` under `label`: phase-transition
-// counters labelled "from->to", eviction/list-occupancy gauges and the
-// conservation byte counters.
+// counters labelled "from->to", eviction/list-occupancy and OOO-queue-depth
+// gauges and the conservation byte counters.
 void PublishJugglerStats(const JugglerStats& stats, const std::string& label,
                          MetricsRegistry* registry);
 

@@ -92,10 +92,12 @@ SpecRunReport RunSpecInProcess(const ScenarioSpec& spec) {
   SpecRunReport rep;
   if (spec.plant_wedge) {
     // Test-only: simulate a wedged child (livelocked loop).
-    // volatile makes the spin a side effect the compiler must keep.
+    // Every access to a volatile is a side effect the compiler must keep,
+    // so this loop spins forever. (A read and a write, not `++`, which
+    // C++20 deprecates on volatiles.)
     volatile uint64_t spin = 0;
     for (;;) {
-      ++spin;
+      spin = spin + 1;
     }
   }
   try {

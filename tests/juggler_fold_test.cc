@@ -6,7 +6,7 @@
 // exactly.
 //
 // The directed cases pin the fold's admission edges: multi-run batches,
-// cross-flow interleaving (per-flow run cursors), PSH mid-run, metadata
+// cross-flow interleaving (per-flow run lookup), PSH mid-run, metadata
 // changes, sub-MSS packets against the head-run flush bound, duplicates,
 // and merge-cap overshoot. The randomized sweep then walks the space of
 // reorderings, batch sizes and payload mixes.
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/core/juggler.h"
+#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -72,6 +73,16 @@ void ExpectStatsIdentical(const Juggler& a, const Juggler& b) {
   EXPECT_EQ(ja.evicted_bytes, jb.evicted_bytes);
   EXPECT_EQ(ja.loss_recovery_entries, jb.loss_recovery_entries);
   EXPECT_EQ(ja.loss_recovery_exits, jb.loss_recovery_exits);
+  EXPECT_EQ(ja.evictions_inactive, jb.evictions_inactive);
+  EXPECT_EQ(ja.evictions_active, jb.evictions_active);
+  EXPECT_EQ(ja.evictions_loss, jb.evictions_loss);
+  EXPECT_EQ(ja.inseq_timeout_flushes, jb.inseq_timeout_flushes);
+  EXPECT_EQ(ja.ofo_timeout_events, jb.ofo_timeout_events);
+  EXPECT_EQ(ja.seq_next_backward_moves, jb.seq_next_backward_moves);
+  EXPECT_EQ(ja.max_active_list_len, jb.max_active_list_len);
+  EXPECT_EQ(ja.max_inactive_list_len, jb.max_inactive_list_len);
+  EXPECT_EQ(ja.max_loss_list_len, jb.max_loss_list_len);
+  EXPECT_EQ(ja.max_ooo_runs, jb.max_ooo_runs);
   for (int f = 0; f <= kFlowPhaseCount; ++f) {
     for (int t = 0; t < kFlowPhaseCount; ++t) {
       EXPECT_EQ(ja.phase_transitions[f][t], jb.phase_transitions[f][t])
@@ -97,9 +108,11 @@ std::vector<PacketPtr> CloneStream(const std::vector<PacketPtr>& stream) {
 
 // Feeds `stream` to two engines: per-packet vs batches of `batch_size`.
 // Poll rounds (PollComplete + timer check + time advance) happen at batch
-// boundaries in both, so the only difference is the delivery API.
+// boundaries in both, so the only difference is the delivery API. When
+// `stats_out` is set it receives the per-packet engine's final stats.
 void RunEquivalence(std::vector<PacketPtr> stream, size_t batch_size,
-                    const JugglerConfig& config = JugglerConfig{}) {
+                    const JugglerConfig& config = JugglerConfig{},
+                    JugglerStats* stats_out = nullptr) {
   std::vector<PacketPtr> batched_stream = CloneStream(stream);
   auto per_packet = MakeHarness(config);
   auto batched = MakeHarness(config);
@@ -134,6 +147,9 @@ void RunEquivalence(std::vector<PacketPtr> stream, size_t batch_size,
   ExpectSegmentsIdentical(per_packet->delivered(), batched->delivered());
   ExpectStatsIdentical(*static_cast<Juggler*>(per_packet->engine()),
                        *static_cast<Juggler*>(batched->engine()));
+  if (stats_out != nullptr) {
+    *stats_out = static_cast<Juggler*>(per_packet->engine())->juggler_stats();
+  }
 }
 
 // ---- directed cases ----
@@ -148,7 +164,7 @@ TEST(JugglerFoldTest, InOrderSingleFlowRun) {
 
 TEST(JugglerFoldTest, CrossFlowInterleavedBatches) {
   // Round-robin across 4 flows: each batch holds 4 interleaved runs, the
-  // pattern the per-flow run cursor exists for.
+  // pattern the per-flow run lookup must get right.
   std::vector<PacketPtr> stream;
   for (uint32_t i = 0; i < 32; ++i) {
     for (uint16_t f = 1; f <= 4; ++f) {
@@ -245,6 +261,87 @@ TEST(JugglerFoldTest, MergeCapRunsFoldIdentically) {
     stream.push_back(MakeDataPacket(TestFlow(), i * kMss, kMss));
   }
   RunEquivalence(std::move(stream), 64);
+}
+
+// ---- deep run queue: the Fig. 13 two-lane pattern ----
+
+// One flow split over two FIFO lanes, as in the NetFPGA testbed: even
+// packets take the fast lane, odd ones the slow lane. The fast lane alone
+// builds one single-packet run per even packet, so after `depth` of them
+// the queue holds `depth` runs; the slow lane then fills the oldest holes,
+// at the front of that queue, while the fast lane keeps extending the tail.
+// Within the slow lane adjacent pairs arrive swapped, so every other fill
+// lands one run behind the head rather than on it. Sequence numbers start
+// just below 2^32, so the runs straddle the wrap.
+constexpr Seq kWrapBase = 0u - 100u * kMss;
+
+JugglerConfig DeepQueueConfig() {
+  JugglerConfig config;
+  // Tuned for 500us of lane skew (§5.2.1): nothing times out mid-stream.
+  config.inseq_timeout = Us(52);
+  config.ofo_timeout = Ms(1);
+  return config;
+}
+
+// `depth` must be even (the slow lane swaps whole pairs).
+std::vector<PacketPtr> TwoLaneStream(const FiveTuple& flow, uint32_t depth) {
+  std::vector<PacketPtr> stream;
+  auto packet = [&](uint32_t index) {
+    stream.push_back(MakeDataPacket(flow, kWrapBase + index * kMss, kMss));
+  };
+  uint32_t fast = 0;
+  for (; fast < depth; ++fast) {
+    packet(2 * fast);
+  }
+  for (uint32_t slow = 0; slow < depth; ++slow) {
+    packet(2 * (slow ^ 1u) + 1);  // swapped pairs
+    packet(2 * fast++);
+  }
+  return stream;
+}
+
+TEST(JugglerFoldTest, DeepTwoLaneQueueAcrossTheWrap) {
+  for (size_t batch : {size_t{16}, size_t{64}}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    JugglerStats stats;
+    RunEquivalence(TwoLaneStream(TestFlow(), 240), batch, DeepQueueConfig(), &stats);
+    EXPECT_GE(stats.max_ooo_runs, 200u);
+  }
+}
+
+TEST(JugglerFoldTest, DeepInsertChargesTheModelledListWalk) {
+  // The search is galloping, but the charged cost still models the kernel
+  // patch's tail-ward list walk: one juggler_ooo_search_per_run per run the
+  // packet lands behind.
+  GroHarness harness([](const CpuCostModel* c) {
+    return std::make_unique<Juggler>(c, DeepQueueConfig());
+  });
+  const FiveTuple flow = TestFlow();
+  constexpr uint32_t kRuns = 240;
+  for (uint32_t i = 0; i < kRuns; ++i) {
+    harness.Receive(MakeDataPacket(flow, kWrapBase + 2 * i * kMss, kMss));
+  }
+  const auto& juggler = *static_cast<Juggler*>(harness.engine());
+  ASSERT_EQ(juggler.juggler_stats().max_ooo_runs, kRuns);
+  ASSERT_TRUE(harness.delivered().empty());
+  MetricsRegistry metrics;
+  PublishJugglerStats(juggler.juggler_stats(), "rx", &metrics);
+  EXPECT_EQ(metrics.GaugeValue("juggler.max_ooo_runs", "rx"), kRuns);
+  // Fill the hole after the run that packet 2k opened: the packet extends
+  // that run, so the walk steps over the kRuns - k - 1 runs opened after it
+  // (earlier fills, all in front of it, leave that count alone), then the
+  // next run coalesces away.
+  const CpuCostModel& costs = *harness.costs();
+  for (uint32_t k : {1u, 10u, 120u, kRuns - 2}) {
+    SCOPED_TRACE("hole after run " + std::to_string(k));
+    const size_t runs = juggler.DebugSnapshot().front().queue_runs;
+    const TimeNs cost =
+        harness.Receive(MakeDataPacket(flow, kWrapBase + (2 * k + 1) * kMss, kMss));
+    EXPECT_EQ(cost, costs.gro_per_packet + costs.juggler_ooo_insert +
+                        static_cast<TimeNs>(kRuns - k - 1) * costs.juggler_ooo_search_per_run);
+    EXPECT_EQ(juggler.DebugSnapshot().front().queue_runs, runs - 1);
+    EXPECT_TRUE(harness.delivered().empty());
+  }
 }
 
 // ---- randomized sweep ----
